@@ -4,19 +4,26 @@ Each audit expands into a canonically ordered list of independent tasks
 (p, subgroup order, parameters), runs the relevant exact search per task, and
 checks the expected outcome over the merged records.  Workers are stateless,
 so records are deterministic for a fixed configuration regardless of worker
-count; an unexpected witness raises TheoremViolation carrying the record.
+count; unexpected witnesses raise one TheoremViolation carrying every record.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from enum import Enum
-from functools import lru_cache
 from math import isqrt
 
 from .errors import InternalMismatchError, TheoremViolation
-from .field import FieldContext, MultSubgroup, is_prime, make_field, subgroup_of_order
+from .field import (
+    FieldContext,
+    MultSubgroup,
+    is_prime,
+    make_field,
+    proper_orders,
+    subgroup_of_order,
+)
 from .search import (
     DecompKind,
     canonical_product_witness,
@@ -50,23 +57,10 @@ class AuditKind(Enum):
     LAMBDA_CENSUS = "lambda-census"
 
 
-@lru_cache(maxsize=None)
-def _field(p: int) -> FieldContext:
-    return make_field(p)
-
-
 def primes_in_range(p_min: int, p_max: int) -> list[int]:
     """Odd primes p with p_min <= p <= p_max, ascending."""
     start = max(3, p_min)
     return [p for p in range(start | 1, p_max + 1, 2) if is_prime(p)]
-
-
-def _proper_orders(p: int, orders: tuple[int, ...] | None) -> list[int]:
-    all_orders = [d for d in range(1, p - 1) if (p - 1) % d == 0]
-    if orders is None:
-        return all_orders
-    keep = set(orders)
-    return [d for d in all_orders if d in keep]
 
 
 def _coset_representatives(ctx: FieldContext, subgroup: MultSubgroup) -> list[int]:
@@ -89,67 +83,60 @@ def _build_tasks(
     orders: tuple[int, ...] | None,
     oracle: bool,
 ) -> list[tuple]:
-    """Tasks in canonical order: p, then subgroup order, then parameter tuple."""
+    """Tasks in canonical order: p, then subgroup order, then parameters.
+
+    A task is (kind value, p, subgroup order, record params, oracle).
+    """
     tasks: list[tuple] = []
     for p in primes_in_range(p_min, p_max):
         if kind is AuditKind.PALEY_CLIQUE:
             if p % 4 == 1:
-                tasks.append((kind.value, p, (p - 1) // 2, (), oracle))
+                tasks.append((kind.value, p, (p - 1) // 2, {}, oracle))
             continue
-        ctx = _field(p)
-        for d in _proper_orders(p, orders):
+        ctx = make_field(p)
+        for d in proper_orders(p):
+            if orders is not None and d not in orders:
+                continue
             subgroup = subgroup_of_order(ctx, d)
             if kind is AuditKind.SARKOZY_PRODUCT:
-                for lam in subgroup.elements:
-                    tasks.append((kind.value, p, d, (lam,), oracle))
+                params = [{"lambda": lam} for lam in subgroup.elements]
             elif kind is AuditKind.LAMBDA_CENSUS:
-                for lam in _coset_representatives(ctx, subgroup):
-                    if lam not in subgroup.elements:
-                        tasks.append((kind.value, p, d, (lam,), oracle))
+                params = [{"lambda": lam} for lam in _coset_representatives(ctx, subgroup)
+                          if lam not in subgroup.elements]
             elif kind is AuditKind.SHIFTED_RATIO:
                 reps = _coset_representatives(ctx, subgroup)
-                for variant in (TargetVariant.XI_SHIFT, TargetVariant.XI_SHIFT_WITH_ZERO):
-                    for xi in reps:
-                        for mu in range(1, p):
-                            tasks.append((kind.value, p, d, (variant.value, xi, mu), oracle))
-            elif kind is AuditKind.LEV_SONN_DIFFERENCE:
-                tasks.append((kind.value, p, d, (), oracle))
-            elif kind is AuditKind.KALMYNIN_SUM:
-                tasks.append((kind.value, p, d, (), oracle))
-            else:  # pragma: no cover - enum is closed
-                raise ValueError(f"unhandled audit kind {kind}")
+                params = [{"variant": variant.value, "xi": xi, "mu": mu}
+                          for variant in (TargetVariant.XI_SHIFT, TargetVariant.XI_SHIFT_WITH_ZERO)
+                          for xi in reps for mu in range(1, p)]
+            else:
+                params = [{}]
+            tasks.extend((kind.value, p, d, param, oracle) for param in params)
     return tasks
 
 
-def _record(task_kind: str, p: int, order: int, params: dict, witnesses, *,
-            exhaustive: bool = True, nodes: int = 0, elapsed_ms: int = 0) -> dict:
-    return {
-        "task": task_kind,
-        "p": p,
-        "subgroup_order": order,
-        "params": params,
-        "witnesses": witnesses,
-        "exhaustive": exhaustive,
-        "nodes": nodes,
-        "elapsed_ms": elapsed_ms,
-    }
+# kind -> (target variant, search kind, largest p cross-checked by the oracle).
+# Ratio tasks name their variant in their params; a None variant means the
+# target is G itself, and a None search means the task is the clique number.
+_TASK_TABLE = {
+    AuditKind.SARKOZY_PRODUCT: (TargetVariant.SHIFT_MINUS_LAMBDA, DecompKind.PRODUCT,
+                                ORACLE_PRODUCT_MAX),
+    AuditKind.LAMBDA_CENSUS: (TargetVariant.SHIFT_MINUS_LAMBDA, DecompKind.PRODUCT,
+                              ORACLE_PRODUCT_MAX),
+    AuditKind.SHIFTED_RATIO: (None, DecompKind.RATIO_REP, 0),
+    AuditKind.LEV_SONN_DIFFERENCE: (TargetVariant.G_UNION_ZERO, DecompKind.DIFF_REP, 0),
+    AuditKind.KALMYNIN_SUM: (None, DecompKind.SUM, ORACLE_SUM_MAX),
+    AuditKind.PALEY_CLIQUE: (None, None, 0),
+}
 
 
-def _pair_witnesses(report, target: ElementSet) -> list[dict]:
+def _witnesses(report, target: ElementSet) -> list[dict]:
+    """Re-validate every witness and serialize it as {"A": ...} or {"A": ..., "B": ...}."""
+    out = []
     for w in report.witnesses:
         if not w.verify(target):
             raise InternalMismatchError(f"witness fails re-validation: {w}")
-    return [
-        {"A": list(w.a), "B": list(w.b)}
-        for w in report.witnesses
-    ]
-
-
-def _rep_witnesses(report, target: ElementSet) -> list[dict]:
-    for w in report.witnesses:
-        if not w.verify(target):
-            raise InternalMismatchError(f"witness fails re-validation: {w}")
-    return [{"A": list(w.a)} for w in report.witnesses]
+        out.append({"A": list(w.a)} if w.b is None else {"A": list(w.a), "B": list(w.b)})
+    return out
 
 
 def _cross_check_oracle(ctx, target, kind: DecompKind, report) -> None:
@@ -162,108 +149,90 @@ def _cross_check_oracle(ctx, target, kind: DecompKind, report) -> None:
         )
 
 
+def _search(ctx: FieldContext, target: ElementSet, kind: DecompKind):
+    if kind is DecompKind.RATIO_REP:
+        return find_ratio_representations(ctx, target)
+    if kind is DecompKind.DIFF_REP:
+        return find_difference_representations(ctx, target)
+    return find_exact_factorizations(ctx, target, kind)
+
+
 def _execute_task(task: tuple) -> dict:
     """Run one audit task; must stay top-level so worker processes can load it."""
     kind_value, p, order, params, oracle = task
-    kind = AuditKind(kind_value)
-    ctx = _field(p)
+    variant, search_kind, oracle_max = _TASK_TABLE[AuditKind(kind_value)]
+    ctx = make_field(p)
     start = time.perf_counter()
-
-    if kind is AuditKind.PALEY_CLIQUE:
-        subgroup = subgroup_of_order(ctx, order)
-        clique = max_difference_clique(ctx, subgroup)
-        elapsed = int((time.perf_counter() - start) * 1000)
-        return _record(kind_value, p, order, {"clique": clique}, [],
-                       elapsed_ms=elapsed)
-
     subgroup = subgroup_of_order(ctx, order)
+    witnesses, nodes = [], 0
+    if search_kind is None:
+        params = {"clique": max_difference_clique(ctx, subgroup)}
+    else:
+        variant = params.get("variant", variant)
+        if variant is None:
+            target = subgroup.elements
+        else:
+            target = build_target(subgroup, TargetVariant(variant), lam=params.get("lambda"),
+                                  xi=params.get("xi"), mu=params.get("mu"))
+        if target:
+            report = _search(ctx, target, search_kind)
+            if oracle and p <= oracle_max:
+                _cross_check_oracle(ctx, target, search_kind, report)
+            witnesses, nodes = _witnesses(report, target), report.nodes
+    return {
+        "task": kind_value,
+        "p": p,
+        "subgroup_order": order,
+        "params": params,
+        "witnesses": witnesses,
+        "exhaustive": True,
+        "nodes": nodes,
+        "elapsed_ms": int((time.perf_counter() - start) * 1000),
+    }
 
-    if kind in (AuditKind.SARKOZY_PRODUCT, AuditKind.LAMBDA_CENSUS):
-        (lam,) = params
-        target = build_target(subgroup, TargetVariant.SHIFT_MINUS_LAMBDA, lam=lam)
-        if not target:
-            elapsed = int((time.perf_counter() - start) * 1000)
-            return _record(kind_value, p, order, {"lambda": lam}, [],
-                           elapsed_ms=elapsed)
-        report = find_exact_factorizations(ctx, target, DecompKind.PRODUCT)
-        if oracle and p <= ORACLE_PRODUCT_MAX:
-            _cross_check_oracle(ctx, target, DecompKind.PRODUCT, report)
-        elapsed = int((time.perf_counter() - start) * 1000)
-        return _record(kind_value, p, order, {"lambda": lam},
-                       _pair_witnesses(report, target), nodes=report.nodes,
-                       elapsed_ms=elapsed)
 
-    if kind is AuditKind.SHIFTED_RATIO:
-        variant_value, xi, mu = params
-        variant = TargetVariant(variant_value)
-        target = build_target(subgroup, variant, xi=xi, mu=mu)
-        param_dict = {"variant": variant_value, "xi": xi, "mu": mu}
-        if not target:
-            elapsed = int((time.perf_counter() - start) * 1000)
-            return _record(kind_value, p, order, param_dict, [], elapsed_ms=elapsed)
-        report = find_ratio_representations(ctx, target)
-        elapsed = int((time.perf_counter() - start) * 1000)
-        return _record(kind_value, p, order, param_dict,
-                       _rep_witnesses(report, target), nodes=report.nodes,
-                       elapsed_ms=elapsed)
-
-    if kind is AuditKind.LEV_SONN_DIFFERENCE:
-        target = build_target(subgroup, TargetVariant.G_UNION_ZERO)
-        report = find_difference_representations(ctx, target)
-        elapsed = int((time.perf_counter() - start) * 1000)
-        return _record(kind_value, p, order, {}, _rep_witnesses(report, target),
-                       nodes=report.nodes, elapsed_ms=elapsed)
-
+def _violation(kind: AuditKind, record: dict) -> str | None:
+    """Why a record breaks the audited claim, or None when it does not."""
+    p = record["p"]
+    order = record["subgroup_order"]
+    witnesses = record["witnesses"]
+    if kind is AuditKind.SARKOZY_PRODUCT and witnesses:
+        return (f"unexpected product factorization at p={p}, |G|={order}, "
+                f"lambda={record['params']['lambda']}")
+    if kind is AuditKind.SHIFTED_RATIO and order >= 3 and witnesses:
+        return (f"unexpected ratio representation at p={p}, |G|={order}, "
+                f"params={record['params']}")
+    if kind is AuditKind.LEV_SONN_DIFFERENCE and order not in (2, 6) and witnesses:
+        return f"unexpected difference representation at p={p}, |G|={order}"
     if kind is AuditKind.KALMYNIN_SUM:
-        target = subgroup.elements
-        report = find_exact_factorizations(ctx, target, DecompKind.SUM)
-        if oracle and p <= ORACLE_SUM_MAX:
-            _cross_check_oracle(ctx, target, DecompKind.SUM, report)
-        elapsed = int((time.perf_counter() - start) * 1000)
-        return _record(kind_value, p, order, {}, _pair_witnesses(report, target),
-                       nodes=report.nodes, elapsed_ms=elapsed)
-
-    raise ValueError(f"unhandled audit kind {kind}")  # pragma: no cover
+        root = isqrt(order)
+        for witness in witnesses:
+            if root * root != order or len(witness["A"]) != root or len(witness["B"]) != root:
+                return f"sum factorization with non-square shape at p={p}, |G|={order}: {witness}"
+        if order == (p - 1) // 2 and witnesses:
+            return f"unexpected sum factorization of the squares at p={p}"
+    if kind is AuditKind.PALEY_CLIQUE:
+        clique = record["params"]["clique"]
+        if 2 * clique * (clique - 1) > p - 3:
+            return f"clique bound fails at p={p}: size {clique}"
+    # LAMBDA_CENSUS reports findings without asserting expectations.
+    return None
 
 
 def _assert_expectations(kind: AuditKind, records: list[dict]) -> None:
-    """Check every theorem-level prediction over the merged records."""
-    for record in records:
-        p = record["p"]
-        order = record["subgroup_order"]
-        witnesses = record["witnesses"]
-        if kind is AuditKind.SARKOZY_PRODUCT:
-            if witnesses:
-                raise TheoremViolation(
-                    f"unexpected product factorization at p={p}, |G|={order}, "
-                    f"lambda={record['params']['lambda']}", record=record)
-        elif kind is AuditKind.SHIFTED_RATIO:
-            if order >= 3 and witnesses:
-                raise TheoremViolation(
-                    f"unexpected ratio representation at p={p}, |G|={order}, "
-                    f"params={record['params']}", record=record)
-        elif kind is AuditKind.LEV_SONN_DIFFERENCE:
-            if order not in (2, 6) and witnesses:
-                raise TheoremViolation(
-                    f"unexpected difference representation at p={p}, |G|={order}",
-                    record=record)
-        elif kind is AuditKind.KALMYNIN_SUM:
-            root = isqrt(order)
-            for witness in witnesses:
-                if root * root != order or len(witness["A"]) != root or len(witness["B"]) != root:
-                    raise TheoremViolation(
-                        f"sum factorization with non-square shape at p={p}, "
-                        f"|G|={order}: {witness}", record=record)
-            if order == (p - 1) // 2 and witnesses:
-                raise TheoremViolation(
-                    f"unexpected sum factorization of the squares at p={p}",
-                    record=record)
-        elif kind is AuditKind.PALEY_CLIQUE:
-            clique = record["params"]["clique"]
-            if 2 * clique * (clique - 1) > p - 3:
-                raise TheoremViolation(
-                    f"clique bound fails at p={p}: size {clique}", record=record)
-        # LAMBDA_CENSUS reports findings without asserting expectations.
+    """Check every theorem-level prediction over the merged records.
+
+    All violations are collected into one TheoremViolation: ``record`` is the
+    first violating record, ``violations`` all of them and ``records`` every
+    record checked.
+    """
+    found = [(msg, r) for r in records if (msg := _violation(kind, r)) is not None]
+    if found:
+        message, first = found[0]
+        if len(found) > 1:
+            message += f" (and {len(found) - 1} more violations)"
+        raise TheoremViolation(message, record=first,
+                               violations=[r for _, r in found], records=records)
 
 
 def audit_theorems(
@@ -277,11 +246,13 @@ def audit_theorems(
 ) -> list[dict]:
     """Run one audit over [p_min, p_max]; returns records in canonical order.
 
-    Raises TheoremViolation (with the offending record attached) if any
-    expected-nonexistence or shape claim fails, and InternalMismatchError if
-    the brute-force oracle disagrees with the search.
+    Raises TheoremViolation (with the first offending record, every offending
+    record and all records attached) if any expected-nonexistence or shape
+    claim fails, and InternalMismatchError if the brute-force oracle disagrees
+    with the search.  The pool never has more workers than there are CPUs.
     """
     tasks = _build_tasks(kind, p_min, p_max, orders, oracle)
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_execute_task, tasks, chunksize=16))
@@ -306,17 +277,10 @@ def reproduce_counterexamples() -> list[dict]:
     """
     records = []
     for p, order, lam, a_known, b_known in KNOWN_COUNTEREXAMPLES:
-        ctx = _field(p)
-        subgroup = subgroup_of_order(ctx, order)
-        target = build_target(subgroup, TargetVariant.SHIFT_MINUS_LAMBDA, lam=lam)
-        start = time.perf_counter()
-        report = find_exact_factorizations(ctx, target, DecompKind.PRODUCT)
-        elapsed = int((time.perf_counter() - start) * 1000)
-        expected = canonical_product_witness(ctx, a_known, b_known)
-        found = [(w.a, w.b) for w in report.witnesses]
-        record = _record(AuditKind.LAMBDA_CENSUS.value, p, order, {"lambda": lam},
-                         _pair_witnesses(report, target), nodes=report.nodes,
-                         elapsed_ms=elapsed)
+        task = (AuditKind.LAMBDA_CENSUS.value, p, order, {"lambda": lam}, False)
+        record = _execute_task(task)
+        expected = canonical_product_witness(make_field(p), a_known, b_known)
+        found = [(tuple(w["A"]), tuple(w["B"])) for w in record["witnesses"]]
         if found != [expected]:
             raise TheoremViolation(
                 f"counterexample reproduction failed at p={p}: expected "

@@ -3,7 +3,8 @@
 Subcommands map one-to-one onto the audit and suite entry points; every task
 produces one JSON object per line with deterministic field order.  Exit codes:
 0 when all expectations hold, 1 for usage/configuration errors, 2 when a
-theorem-level expectation fails (the offending witness goes to stderr).
+theorem-level expectation fails (every record is still printed, and each
+offending record is echoed on stderr).
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _add_range_flags(parser: argparse.ArgumentParser, p_min: int, p_max: int) ->
     parser.add_argument("--oracle", choices=("on", "off"), default="on",
                         help="cross-check against the brute-force oracle at small p")
     parser.add_argument("--workers", type=int, default=1,
-                        help="parallel worker processes (default 1)")
+                        help="parallel worker processes, at most the CPU count (default 1)")
     parser.add_argument("--out", default=None, help="write records here instead of stdout")
 
 
@@ -127,8 +128,7 @@ def _emit(records, out_path: str | None) -> None:
 
 def _violation(exc: Exception) -> int:
     print(f"VIOLATION: {exc}", file=sys.stderr)
-    record = getattr(exc, "record", None)
-    if record is not None:
+    for record in getattr(exc, "violations", ()):
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
     return EXIT_VIOLATION
 
@@ -148,8 +148,9 @@ def _run_audit(args, kind: AuditKind) -> int:
         elif scope == "all":
             kinds = [AuditKind.SARKOZY_PRODUCT, AuditKind.LAMBDA_CENSUS]
     records = []
-    try:
-        for k in kinds:
+    violations = []
+    for k in kinds:
+        try:
             records.extend(
                 audit_theorems(
                     args.pmin,
@@ -160,10 +161,13 @@ def _run_audit(args, kind: AuditKind) -> int:
                     workers=args.workers,
                 )
             )
-    except TheoremViolation as exc:
-        return _violation(exc)
+        except TheoremViolation as exc:
+            records.extend(exc.records)
+            violations.append(exc)
     _emit(records, args.out)
-    return EXIT_OK
+    for exc in violations:
+        _violation(exc)
+    return EXIT_VIOLATION if violations else EXIT_OK
 
 
 def _run_reproduce(args) -> int:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import (
     NotADivisorError,
     NotPrimeError,
@@ -21,7 +23,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MILLER_RABIN_WITNESSES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -66,10 +68,21 @@ def _smallest_primitive_root(p: int) -> int:
     raise AssertionError(f"no primitive root found for {p}")  # unreachable for prime p
 
 
-class FieldContext:
-    """Immutable F_p arithmetic context with inverse and factorial tables."""
+def proper_orders(p: int) -> list[int]:
+    """Orders of the proper subgroups of F_p^*: the divisors of p - 1 below it."""
+    return [d for d in range(1, p - 1) if (p - 1) % d == 0]
 
-    __slots__ = ("p", "primitive_root", "inv_table", "factorial", "inv_factorial")
+
+class FieldContext:
+    """Immutable F_p arithmetic context with inverse, factorial and log tables.
+
+    ``power_table[e]`` is g^e for the primitive root g and ``dlog_table`` is
+    its inverse on F_p^* (``dlog_table[0]`` is unused), so products of
+    nonzero residues become sums of exponents mod p - 1.
+    """
+
+    __slots__ = ("p", "primitive_root", "inv_table", "factorial", "inv_factorial",
+                 "power_table", "dlog_table")
 
     def __init__(self, p: int):
         # callers go through make_field, which validates p
@@ -88,7 +101,14 @@ class FieldContext:
         self.inv_table = tuple(inv)
         self.factorial = tuple(fact)
         self.inv_factorial = tuple(inv_fact)
-        self.primitive_root = _smallest_primitive_root(p)
+        self.primitive_root = g = _smallest_primitive_root(p)
+        powers = [1] * (p - 1)
+        dlog = [0] * p
+        for e in range(1, p - 1):
+            powers[e] = powers[e - 1] * g % p
+            dlog[powers[e]] = e
+        self.power_table = tuple(powers)
+        self.dlog_table = tuple(dlog)
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -148,8 +168,12 @@ class FieldContext:
         return f"FieldContext(p={self.p})"
 
 
+@lru_cache(maxsize=64)
 def make_field(p: int, *, max_prime: int = MAX_PRIME) -> FieldContext:
-    """Validated context for the prime field F_p, 3 <= p <= max_prime."""
+    """Validated context for the prime field F_p, 3 <= p <= max_prime.
+
+    Contexts are immutable, so repeated calls share one instance per prime.
+    """
     if p < 3 or p > max_prime:
         raise OutOfRangeError(f"p must lie in [3, {max_prime}], got {p}")
     if not is_prime(p):
@@ -201,9 +225,7 @@ def subgroup_of_order(ctx: FieldContext, d: int) -> MultSubgroup:
 
 def enumerate_proper_subgroups(ctx: FieldContext) -> list[MultSubgroup]:
     """All subgroups of order < p - 1, ascending by order."""
-    n = ctx.p - 1
-    orders = sorted(d for d in range(1, n) if n % d == 0)
-    return [subgroup_of_order(ctx, d) for d in orders]
+    return [subgroup_of_order(ctx, d) for d in proper_orders(ctx.p)]
 
 
 def coset_test(ctx: FieldContext, a_set: ElementSet) -> tuple[int, int] | None:

@@ -3,9 +3,10 @@
 Product and sum factorization share one additive engine: products are moved to
 exponent space through a discrete-log table, where scaling by a fixed element
 becomes a cyclic shift of the membership mask, exactly as translation does for
-sumsets.  Representation searches (A/A = T, A-A = T) are clique enumerations
-on a compatibility graph, and the difference-clique maximum is a plain exact
-branch-and-bound.
+sumsets.  Representation searches share one difference-set engine over Z_n:
+A - A = T is a clique enumeration on the difference graph of T, A/A = T is the
+same search on discrete logs (n = p - 1), and the difference-clique maximum is
+an exact branch-and-bound on the graph of G union {0}.
 """
 
 from __future__ import annotations
@@ -197,27 +198,12 @@ def _additive_engine(
     return results, node_count
 
 
-def _dlog_table(ctx: FieldContext) -> list[int]:
-    p = ctx.p
-    table = [0] * p
-    x = 1
-    for i in range(p - 1):
-        table[x] = i
-        x = x * ctx.primitive_root % p
-    return table
-
-
 def _product_search(
     ctx: FieldContext, target: ElementSet, min_size: int
 ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
     p = ctx.p
     m = p - 1
-    dlog = _dlog_table(ctx)
-    pow_table = [0] * m
-    x = 1
-    for e in range(m):
-        pow_table[e] = x
-        x = x * ctx.primitive_root % p
+    dlog = ctx.dlog_table
     full = (1 << m) - 1
     texp = 0
     for s in target:
@@ -243,6 +229,7 @@ def _product_search(
         seed=0,
         min_size=min_size,
     )
+    pow_table = ctx.power_table
     canon = set()
     for a_mask, b_shifts in raw:
         a_res = [pow_table[i] for i in _mask_to_tuple(a_mask)]
@@ -293,16 +280,20 @@ def find_exact_factorizations(
         pairs, nodes = _sum_search(ctx, target, min_size)
     else:
         raise ValueError(f"unsupported factorization kind: {kind!r}")
-    witnesses = tuple(DecompWitness(ctx.p, kind, a, b) for a, b in pairs)
-    elapsed = (time.perf_counter() - start) * 1000.0
+    return _report(ctx.p, kind, target, pairs, nodes, start)
+
+
+def _report(p: int, kind: DecompKind, target: ElementSet,
+            witnesses: list[tuple], nodes: int, start: float) -> SearchReport:
+    """SearchReport for sorted (A,) or (A, B) witness tuples found since ``start``."""
     return SearchReport(
-        p=ctx.p,
+        p=p,
         kind=kind,
         target=target.elements(),
-        witnesses=witnesses,
+        witnesses=tuple(DecompWitness(p, kind, *w) for w in witnesses),
         exhaustive=True,
         nodes=nodes,
-        elapsed_ms=elapsed,
+        elapsed_ms=(time.perf_counter() - start) * 1000.0,
     )
 
 
@@ -406,84 +397,62 @@ def _maximal_cliques(vertices: Sequence[int], adj: dict[int, int]) -> tuple[list
     return results, node_count
 
 
+def _difference_graph(n: int, tmask: int) -> tuple[list[int], dict[int, int]]:
+    """Vertices S = T & -T of Z_n and adjacency x -> (x + S) without x.
+
+    A set containing 0 has all its differences in T exactly when it is a
+    clique here; 0 is adjacent to every vertex, so every maximal clique
+    contains it.  Adjacency bits outside S are never reached, because every
+    clique search intersects them with a subset of S.
+    """
+    full = (1 << n) - 1
+    verts = [x for x in _mask_to_tuple(tmask) if (tmask >> (-x % n)) & 1]
+    s_mask = 0
+    for x in verts:
+        s_mask |= 1 << x
+    return verts, {x: _rotate(s_mask, x, n, full) & ~(1 << x) for x in verts}
+
+
+def _difference_representations(n: int, tmask: int) -> tuple[list[tuple[int, ...]], int]:
+    """All maximal A (0 in A) with A - A = T over Z_n; T is the bitmask ``tmask``."""
+    full = (1 << n) - 1
+    verts, adj = _difference_graph(n, tmask)
+    cliques, nodes = _maximal_cliques(verts, adj)
+    witnesses = []
+    for cm in cliques:
+        elems = _mask_to_tuple(cm)
+        got = 0
+        for y in elems:
+            got |= _rotate(cm, (n - y) % n, n, full)
+        if got == tmask:
+            witnesses.append(elems)
+    return witnesses, nodes
+
+
 def find_ratio_representations(ctx: FieldContext, target: ElementSet) -> SearchReport:
-    """All maximal A (1 in A) with A/A = target; complete via clique enumeration."""
+    """All maximal A (1 in A) with A/A = target; the difference search on discrete logs."""
     start = time.perf_counter()
-    p = ctx.p
     if 0 in target:
         raise ZeroInTargetError("ratio representation target must avoid 0")
     witnesses: list[tuple[int, ...]] = []
     nodes = 0
     if 1 in target:
-        verts = [x for x in target if ctx.inv_table[x] in target]
-        adj: dict[int, int] = {}
-        for x in verts:
-            xi = ctx.inv_table[x]
-            m = 0
-            for y in verts:
-                if y != x and (x * ctx.inv_table[y] % p) in target and (y * xi % p) in target:
-                    m |= 1 << y
-            adj[x] = m
-        cliques, nodes = _maximal_cliques(verts, adj)
-        tmask = target.mask
-        for cm in cliques:
-            elems = _mask_to_tuple(cm)
-            got = 0
-            for y in elems:
-                yi = ctx.inv_table[y]
-                for x in elems:
-                    got |= 1 << (x * yi % p)
-            if got == tmask:
-                witnesses.append(elems)
-    witnesses.sort()
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return SearchReport(
-        p=p,
-        kind=DecompKind.RATIO_REP,
-        target=target.elements(),
-        witnesses=tuple(DecompWitness(p, DecompKind.RATIO_REP, w) for w in witnesses),
-        exhaustive=True,
-        nodes=nodes,
-        elapsed_ms=elapsed,
-    )
+        tlog = 0
+        for x in target:
+            tlog |= 1 << ctx.dlog_table[x]
+        logs, nodes = _difference_representations(ctx.p - 1, tlog)
+        witnesses = sorted(tuple(sorted(ctx.power_table[e] for e in w)) for w in logs)
+    return _report(ctx.p, DecompKind.RATIO_REP, target, [(w,) for w in witnesses], nodes, start)
 
 
 def find_difference_representations(ctx: FieldContext, target: ElementSet) -> SearchReport:
     """All maximal A (0 in A) with A-A = target; complete via clique enumeration."""
     start = time.perf_counter()
-    p = ctx.p
     if 0 not in target:
         raise MissingZeroError("difference representation target must contain 0")
-    verts = [x for x in target if (p - x) % p in target]
-    adj: dict[int, int] = {}
-    for x in verts:
-        m = 0
-        for y in verts:
-            if y != x and ((x - y) % p) in target and ((y - x) % p) in target:
-                m |= 1 << y
-        adj[x] = m
-    cliques, nodes = _maximal_cliques(verts, adj)
-    tmask = target.mask
-    witnesses: list[tuple[int, ...]] = []
-    for cm in cliques:
-        elems = _mask_to_tuple(cm)
-        got = 0
-        for y in elems:
-            for x in elems:
-                got |= 1 << ((x - y) % p)
-        if got == tmask:
-            witnesses.append(elems)
-    witnesses.sort()
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return SearchReport(
-        p=p,
-        kind=DecompKind.DIFF_REP,
-        target=target.elements(),
-        witnesses=tuple(DecompWitness(p, DecompKind.DIFF_REP, w) for w in witnesses),
-        exhaustive=True,
-        nodes=nodes,
-        elapsed_ms=elapsed,
-    )
+    witnesses, nodes = _difference_representations(ctx.p, target.mask)
+    return _report(ctx.p, DecompKind.DIFF_REP, target,
+                   [(w,) for w in sorted(witnesses)], nodes, start)
 
 
 def _max_clique_size(vertices: Sequence[int], adj: dict[int, int]) -> int:
@@ -520,19 +489,7 @@ def _max_clique_size(vertices: Sequence[int], adj: dict[int, int]) -> int:
 
 def max_difference_clique(ctx: FieldContext, subgroup: MultSubgroup) -> int:
     """Largest |A| with A - A inside G union {0} (ordered differences)."""
-    p = ctx.p
-    g = subgroup.elements
-    if (p - 1) not in g:
-        # -1 outside G: x and -x can never both be differences, so |A| = 1
-        return 1
-    t = g.with_element(0)
-    verts = list(g)
-    adj: dict[int, int] = {}
-    for x in verts:
-        m = 0
-        for y in verts:
-            if y != x and ((x - y) % p) in t:
-                m |= 1 << y
-        adj[x] = m
-    # translate A to contain 0; the other elements form a clique inside G
-    return 1 + _max_clique_size(verts, adj)
+    # translate A to contain 0; if -1 is outside G, x and -x are never both
+    # differences, so the graph is the single vertex 0
+    target = subgroup.elements.with_element(0)
+    return _max_clique_size(*_difference_graph(ctx.p, target.mask))

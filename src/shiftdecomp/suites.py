@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import TheoremViolation
-from .field import FieldContext, make_field, subgroup_of_order
+from .field import FieldContext, make_field, proper_orders, subgroup_of_order
 from .poly import DensePoly, root_multiplicity
 from .sets import ElementSet
 from .stepanov import (
@@ -49,15 +48,6 @@ __all__ = [
 
 SUITE_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
                 73, 79, 83, 89, 97, 101)
-
-
-@lru_cache(maxsize=None)
-def _field(p: int) -> FieldContext:
-    return make_field(p)
-
-
-def _proper_orders(p: int) -> list[int]:
-    return [d for d in range(1, p - 1) if (p - 1) % d == 0]
 
 
 def _hypothesis_pool(ctx: FieldContext, subgroup, lam: int) -> list[int]:
@@ -100,8 +90,8 @@ def _sample_instance(rng: random.Random, mode: str):
     """
     while True:
         p = rng.choice(SUITE_PRIMES)
-        ctx = _field(p)
-        d = rng.choice(_proper_orders(p))
+        ctx = make_field(p)
+        d = rng.choice(proper_orders(p))
         subgroup = subgroup_of_order(ctx, d)
         in_g = subgroup.elements
         if mode == "tight-shifted" or (mode == "generic" and rng.random() < 0.5):
@@ -148,8 +138,8 @@ def _sample_additive(rng: random.Random):
     """Draw (ctx, A, B, G) with A + B inside G union {0}; 0 allowed in A, B."""
     while True:
         p = rng.choice([q for q in SUITE_PRIMES if q <= 61])
-        ctx = _field(p)
-        d = rng.choice(_proper_orders(p))
+        ctx = make_field(p)
+        d = rng.choice(proper_orders(p))
         subgroup = subgroup_of_order(ctx, d)
         target = set(subgroup.elements.elements()) | {0}
         b = rng.sample(range(p), rng.randint(1, 3))
@@ -165,7 +155,7 @@ def _sample_additive(rng: random.Random):
 
 def _flagship_audit():
     """The F_11 instance: A={1,7}, B={1,2,3}, lam=2, |G|=5, degree 6 and tight."""
-    ctx = _field(11)
+    ctx = make_field(11)
     subgroup = subgroup_of_order(ctx, 5)
     audit = audit_instance(
         ctx,
@@ -222,7 +212,7 @@ def run_stepanov_suite(
     flagship_degree, flagship_tight = _flagship_audit()
 
     # Second pinned instance: p=13, squares, lam=1 in G, A={1}, B={2,3}.
-    ctx13 = _field(13)
+    ctx13 = make_field(13)
     audit13 = audit_instance(
         ctx13,
         ElementSet.from_elements(13, [1]),
@@ -273,7 +263,7 @@ def run_identity_suite(
 
     for _ in range(gf_cases):
         p = rng.choice(SUITE_PRIMES)
-        ctx = _field(p)
+        ctx = make_field(p)
         n = rng.randint(1, 8)
         a = ElementSet.from_elements(p, rng.sample(range(1, p), n))
         if not check_gf_identity(ctx, a):
@@ -281,7 +271,7 @@ def run_identity_suite(
 
     for _ in range(newton_cases):
         p = rng.choice(SUITE_PRIMES)
-        ctx = _field(p)
+        ctx = make_field(p)
         size = rng.randint(1, 8)
         multiset = sorted(rng.randrange(p) for _ in range(size))
         psums = power_sums(ctx, multiset, size)
@@ -295,7 +285,7 @@ def run_identity_suite(
 
     for _ in range(derivative_cases):
         p = rng.choice(SUITE_PRIMES)
-        ctx = _field(p)
+        ctx = make_field(p)
         b = rng.randrange(p)
         n = rng.randint(1, 4)
         while True:
@@ -308,7 +298,7 @@ def run_identity_suite(
 
     for _ in range(harmonic_cases):
         p = rng.choice(SUITE_PRIMES)
-        ctx = _field(p)
+        ctx = make_field(p)
         m = rng.randint(1, 10)
         b_set = ElementSet.from_elements(p, rng.sample(range(1, p), m))
         if not harmonic_sum_identity(ctx, b_set):

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from itertools import permutations, product
 
-import numpy as np
-
 from .errors import DegenerateInputError, TheoremViolation
 
 __all__ = [
@@ -207,12 +205,12 @@ def check_xk_product_claim(m: int, *, tol: float = DEFAULT_TOL) -> ProductClaimV
     if m < 3:
         raise ValueError(f"claim check needs m >= 3, got {m}")
     group = UnityGroup.of_order(m)
-    xs = np.asarray(group.x_values, dtype=np.complex128)
+    xs = group.x_values
     pairs = [(k, l) for k in range(1, m) for l in range(k, m)]
-    prods = np.array([xs[k - 1] * xs[l - 1] for k, l in pairs])
+    prods = [xs[k - 1] * xs[l - 1] for k, l in pairs]
     pair_count = len(pairs)
 
-    order = np.argsort(prods.real, kind="stable")
+    order = sorted(range(pair_count), key=lambda i: prods[i].real)
     numeric_violations = []
     min_gap = math.inf
     for pos in range(pair_count):

@@ -10,6 +10,7 @@ from shiftdecomp import (
     AuditKind,
     TheoremViolation,
     audit_theorems,
+    audits,
     primes_in_range,
     reproduce_counterexamples,
 )
@@ -73,6 +74,35 @@ class TestRecordContract:
         serial = audit_theorems(3, 23, AuditKind.SARKOZY_PRODUCT)
         parallel = audit_theorems(3, 23, AuditKind.SARKOZY_PRODUCT, workers=2)
         assert strip_timing(serial) == strip_timing(parallel)
+
+    def test_worker_count_is_capped_at_cpu_count(self, monkeypatch):
+        created = []
+
+        class SerialPool:
+            """Stands in for the process pool: records its size, maps in-process."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(audits, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(audits.os, "cpu_count", lambda: 3)
+        capped = audit_theorems(3, 13, AuditKind.SARKOZY_PRODUCT, workers=10_000)
+        assert created == [3]
+        serial = audit_theorems(3, 13, AuditKind.SARKOZY_PRODUCT)
+        assert strip_timing(capped) == strip_timing(serial)
+        # an unknown CPU count means one worker, so no pool at all
+        monkeypatch.setattr(audits.os, "cpu_count", lambda: None)
+        audit_theorems(3, 13, AuditKind.SARKOZY_PRODUCT, workers=10_000)
+        assert created == [3]
 
 
 class TestProductAudit:
@@ -199,6 +229,29 @@ class TestCliqueAudit:
         # 2k(k-1) = 40 exceeds p - 3 = 38: the claimed bound genuinely fails here
         k = record["params"]["clique"]
         assert 2 * k * (k - 1) > 41 - 3
+
+
+class TestViolationReport:
+    @staticmethod
+    def clique_record(p, clique):
+        return {"task": "paley-clique", "p": p, "subgroup_order": (p - 1) // 2,
+                "params": {"clique": clique}, "witnesses": [], "exhaustive": True,
+                "nodes": 0, "elapsed_ms": 0}
+
+    def test_every_violation_is_reported(self):
+        # 2k(k-1) <= p - 3 fails for (13, 3) and (41, 5) and holds for (37, 4)
+        records = [self.clique_record(13, 3), self.clique_record(37, 4),
+                   self.clique_record(41, 5)]
+        with pytest.raises(TheoremViolation) as exc_info:
+            audits._assert_expectations(AuditKind.PALEY_CLIQUE, records)
+        exc = exc_info.value
+        assert exc.record is records[0]
+        assert exc.violations == [records[0], records[2]]
+        assert exc.records == records
+        assert "p=13" in str(exc) and "1 more" in str(exc)
+
+    def test_clean_records_raise_nothing(self):
+        audits._assert_expectations(AuditKind.PALEY_CLIQUE, [self.clique_record(37, 4)])
 
 
 class TestReproduce:

@@ -41,6 +41,16 @@ class TestExitCodes:
         # the offending record is echoed on stderr as a JSON payload
         assert '"p": 41' in err
 
+    def test_violation_still_prints_every_record(self):
+        code, out, err = run_cli("verify", "clique")
+        assert code == 2
+        primes = [p for p in range(17, 102)
+                  if p % 4 == 1 and all(p % q for q in range(2, p))]
+        assert len(primes) == 10
+        assert [r["p"] for r in parse_lines(out)] == primes
+        echoed = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        assert [(r["p"], r["params"]["clique"]) for r in echoed] == [(41, 5)]
+
     def test_unknown_command_exits_one(self):
         code, _, err = run_cli("nonsense")
         assert code == 1

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from shiftdecomp import (
     canonical_product_pair,
     canonical_product_witness,
     compose_sets,
+    enumerate_proper_subgroups,
     factorization_oracle,
     find_difference_representations,
     find_exact_factorizations,
@@ -310,3 +314,96 @@ class TestDifferenceClique:
                 best = size
                 break
         assert max_difference_clique(ctx, g) == best
+
+
+ORACLE_PRIMES = (3, 5, 7, 11)
+
+
+def _mask(elems) -> int:
+    out = 0
+    for x in elems:
+        out |= 1 << x
+    return out
+
+
+@lru_cache(maxsize=None)
+def _self_compositions(p: int, op: SetOp) -> tuple[tuple[int, int], ...]:
+    """(A, A op A) as bitmasks for every A that holds 1 (RATIO) or 0 (DIFFERENCE)."""
+    anchor = 1 if op is SetOp.RATIO else 0
+    others = [x for x in range(p) if x != anchor and (x != 0 or op is SetOp.DIFFERENCE)]
+    out = []
+    for k in range(len(others) + 1):
+        for rest in combinations(others, k):
+            a = (anchor,) + rest
+            if op is SetOp.RATIO:
+                composed = {x * pow(y, -1, p) % p for x in a for y in a}
+            else:
+                composed = {(x - y) % p for x in a for y in a}
+            out.append((_mask(a), _mask(composed)))
+    return tuple(out)
+
+
+def _oracle_representations(p: int, target: ElementSet, op: SetOp) -> list[tuple[int, ...]]:
+    """Inclusion-maximal A with A op A inside the target, kept when equal to it.
+
+    Plain subset enumeration.  A subset of a fitting A that keeps the anchor
+    fits too, so A is inclusion-maximal exactly when no one-element extension
+    of it fits.
+    """
+    tmask = target.mask
+    table = _self_compositions(p, op)
+    fits = {a for a, composed in table if composed & ~tmask == 0}
+    exact = {a for a, composed in table if composed == tmask}
+    maximal = [a for a in exact if all(a | (1 << x) not in fits
+                                       for x in range(p) if not (a >> x) & 1)]
+    return sorted(tuple(x for x in range(p) if (a >> x) & 1) for a in maximal)
+
+
+def _audit_targets(p: int) -> tuple[list[ElementSet], list[ElementSet]]:
+    """Every ratio target (xi*G + mu, with or without 0 adjoined to xi*G) and
+    every Lev-Sonn target G union {0}, over all proper subgroups G mod p."""
+    ctx = make_field(p)
+    ratio, difference = {}, {}
+    for g in enumerate_proper_subgroups(ctx):
+        t = build_target(g, TargetVariant.G_UNION_ZERO)
+        difference[t.mask] = t
+        for variant in (TargetVariant.XI_SHIFT, TargetVariant.XI_SHIFT_WITH_ZERO):
+            for xi in range(1, p):
+                for mu in range(1, p):
+                    t = build_target(g, variant, xi=xi, mu=mu)
+                    if t:
+                        ratio[t.mask] = t
+    return list(ratio.values()), list(difference.values())
+
+
+class TestRepresentationOracle:
+    """The difference-set engine against plain subset enumeration, p <= 11."""
+
+    @pytest.mark.parametrize("p", ORACLE_PRIMES)
+    def test_every_audit_target(self, p):
+        ctx = make_field(p)
+        ratio, difference = _audit_targets(p)
+        for target in ratio:
+            report = find_ratio_representations(ctx, target)
+            assert [w.a for w in report.witnesses] == \
+                _oracle_representations(p, target, SetOp.RATIO), target
+        for target in difference:
+            report = find_difference_representations(ctx, target)
+            assert [w.a for w in report.witnesses] == \
+                _oracle_representations(p, target, SetOp.DIFFERENCE), target
+
+    @given(st.sampled_from(ORACLE_PRIMES), st.data())
+    def test_random_ratio_targets(self, p, data):
+        elems = data.draw(st.sets(st.integers(1, p - 1), min_size=1))
+        target = ElementSet.from_elements(p, elems)
+        report = find_ratio_representations(make_field(p), target)
+        assert [w.a for w in report.witnesses] == \
+            _oracle_representations(p, target, SetOp.RATIO)
+
+    @given(st.sampled_from(ORACLE_PRIMES), st.data())
+    def test_random_difference_targets(self, p, data):
+        elems = data.draw(st.sets(st.integers(0, p - 1)))
+        target = ElementSet.from_elements(p, elems).with_element(0)
+        report = find_difference_representations(make_field(p), target)
+        assert [w.a for w in report.witnesses] == \
+            _oracle_representations(p, target, SetOp.DIFFERENCE)

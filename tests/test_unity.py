@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import shiftdecomp
 from shiftdecomp import (
     INF,
     DegenerateInputError,
@@ -171,3 +176,12 @@ class TestTwoByTwoDecomposition:
     def test_rejects_tiny_order(self):
         with pytest.raises(ValueError):
             search_2x2_decomposition(1)
+
+
+def test_package_import_does_not_load_numpy():
+    src = Path(shiftdecomp.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, shiftdecomp; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -42,8 +42,7 @@ __all__ = [
     "reproduce_counterexamples",
 ]
 
-ORACLE_PRODUCT_MAX = 23
-ORACLE_SUM_MAX = 13
+ORACLE_MAX = 23
 
 
 class AuditKind(Enum):
@@ -118,13 +117,11 @@ def _build_tasks(
 # Ratio tasks name their variant in their params; a None variant means the
 # target is G itself, and a None search means the task is the clique number.
 _TASK_TABLE = {
-    AuditKind.SARKOZY_PRODUCT: (TargetVariant.SHIFT_MINUS_LAMBDA, DecompKind.PRODUCT,
-                                ORACLE_PRODUCT_MAX),
-    AuditKind.LAMBDA_CENSUS: (TargetVariant.SHIFT_MINUS_LAMBDA, DecompKind.PRODUCT,
-                              ORACLE_PRODUCT_MAX),
+    AuditKind.SARKOZY_PRODUCT: (TargetVariant.SHIFT_MINUS_LAMBDA, DecompKind.PRODUCT, ORACLE_MAX),
+    AuditKind.LAMBDA_CENSUS: (TargetVariant.SHIFT_MINUS_LAMBDA, DecompKind.PRODUCT, ORACLE_MAX),
     AuditKind.SHIFTED_RATIO: (None, DecompKind.RATIO_REP, 0),
     AuditKind.LEV_SONN_DIFFERENCE: (TargetVariant.G_UNION_ZERO, DecompKind.DIFF_REP, 0),
-    AuditKind.KALMYNIN_SUM: (None, DecompKind.SUM, ORACLE_SUM_MAX),
+    AuditKind.KALMYNIN_SUM: (None, DecompKind.SUM, ORACLE_MAX),
     AuditKind.PALEY_CLIQUE: (None, None, 0),
 }
 

@@ -15,6 +15,7 @@ import sys
 
 from .audits import AuditKind, audit_theorems, primes_in_range, reproduce_counterexamples
 from .errors import BoundViolationError, TheoremViolation
+from .field import MAX_PRIME
 from .suites import run_identity_suite, run_stepanov_suite, run_unity_suite
 
 __all__ = ["main"]
@@ -134,6 +135,9 @@ def _violation(exc: Exception) -> int:
 
 
 def _run_audit(args, kind: AuditKind) -> int:
+    if args.pmax > MAX_PRIME:
+        print(f"error: --pmax must be at most {MAX_PRIME}", file=sys.stderr)
+        return EXIT_USAGE
     if args.pmin > args.pmax or not primes_in_range(args.pmin, args.pmax):
         print(f"error: no odd primes in [{args.pmin}, {args.pmax}]", file=sys.stderr)
         return EXIT_USAGE

@@ -1,12 +1,15 @@
 """Exhaustive decomposition searches over subsets of F_p.
 
-Product and sum factorization share one additive engine: products are moved to
-exponent space through a discrete-log table, where scaling by a fixed element
-becomes a cyclic shift of the membership mask, exactly as translation does for
-sumsets.  Representation searches share one difference-set engine over Z_n:
-A - A = T is a clique enumeration on the difference graph of T, A/A = T is the
-same search on discrete logs (n = p - 1), and the difference-clique maximum is
-an exact branch-and-bound on the graph of G union {0}.
+Product and sum factorization share one cover-by-translates engine over Z_n:
+A + B = T on Z_p for sums, and the same search on discrete logs (n = p - 1)
+for products, where scaling becomes a cyclic shift of the membership mask.
+The engine is seeded with 0 in B, since (A + t, B - t) solves whenever
+(A, B) does; sums list every translate again, products keep the
+scaling-canonical witness.  Representation searches share one difference-set
+engine over Z_n: A - A = T is a clique enumeration on the difference graph of
+T, A/A = T is the same search on discrete logs (n = p - 1), and the
+difference-clique maximum is an exact branch-and-bound on the graph of
+G union {0}.
 """
 
 from __future__ import annotations
@@ -122,52 +125,50 @@ def canonical_product_witness(
     )
 
 
-def _additive_engine(
-    *,
-    modulus: int,
-    target: int,
-    size: int,
-    universe: Sequence[int],
-    allowed: Sequence[int | None],
-    seed: int | None,
-    min_size: int,
-    check_every: int = 4,
+def _translate_cover(
+    n: int, tmask: int, min_size: int
 ) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
-    """Enumerate every (maximal A, B) pair with A composed B = target.
+    """Every (A, B) over Z_n with A + B = T, 0 in B and |A|, |B| >= min_size.
 
-    Works on membership masks over Z_modulus; ``allowed[s]`` is the mask of
-    elements compatible with shift s, and the covered set of a pair is the
-    union of cyclic shifts of the A mask.  B grows along ``universe`` order;
-    at each node A is the intersection of the allowed masks of the chosen
-    shifts, which is the unique maximal A for that B.
+    T is the bitmask ``tmask`` and A is the maximal set for its B, the
+    intersection of the T - b.  A + B = T is invariant under
+    (A, B) -> (A + t, B - t), so seeding 0 into B loses nothing up to
+    translation.  B grows from {0} along the shifts s whose T & (T - s) keeps
+    min_size elements, fewest first (ties by s).
     """
-    full = (1 << modulus) - 1
+    full = (1 << n) - 1
+    size = tmask.bit_count()
+    allowed = [_rotate(tmask, -s % n, n, full) for s in range(n)]  # T - s
+    overlap = [(allowed[s] & tmask).bit_count() for s in range(n)]
+    universe = sorted((s for s in range(1, n) if overlap[s] >= min_size),
+                      key=lambda s: (overlap[s], s))
     results: list[tuple[int, tuple[int, ...]]] = []
     node_count = 0
 
     def union_shifts(a_mask: int, shifts: Sequence[int]) -> int:
         got = 0
         for s in shifts:
-            got |= _rotate(a_mask, s, modulus, full)
+            got |= _rotate(a_mask, s, n, full)
         return got
 
-    def recurse(a_mask: int, b_shifts: list[int], pool: Sequence[int], start: int, depth: int) -> None:
+    def recurse(a_mask: int, b_shifts: list[int], pool: Sequence[int], start: int) -> None:
         nonlocal node_count
         node_count += 1
         na = a_mask.bit_count()
         nb = len(b_shifts)
         if nb >= min_size and na * nb >= size:
-            if union_shifts(a_mask, b_shifts) == target:
+            if union_shifts(a_mask, b_shifts) == tmask:
                 results.append((a_mask, tuple(b_shifts)))
         if nb >= size:
             # every element of B maps A into the target injectively, so
             # |B| > |target| can never cover
             return
-        if depth % check_every == 0:
-            # refresh the pool against the current A and prune subtrees whose
-            # best-possible coverage already misses part of the target; each
-            # candidate's contribution is capped by allowed[s] so the union
-            # stays inside the target and equality means full coverage
+        if nb % 4 == 0:
+            # every fourth level, refresh the pool against the current A and
+            # prune subtrees whose best-possible coverage already misses part
+            # of the target; each candidate's contribution is capped by
+            # allowed[s] so the union stays inside the target and equality
+            # means full coverage
             fresh = []
             potential = union_shifts(a_mask, b_shifts)
             for i in range(start, len(pool)):
@@ -175,8 +176,8 @@ def _additive_engine(
                 trimmed = a_mask & allowed[s]
                 if trimmed.bit_count() >= min_size:
                     fresh.append(s)
-                    potential |= _rotate(trimmed, s, modulus, full)
-            if potential != target:
+                    potential |= _rotate(trimmed, s, n, full)
+            if potential != tmask:
                 return
             pool, start = fresh, 0
         # between refreshes the stale pool length still upper-bounds the
@@ -188,47 +189,22 @@ def _additive_engine(
             cand = a_mask & allowed[s]
             if cand.bit_count() >= min_size:
                 b_shifts.append(s)
-                recurse(cand, b_shifts, pool, i + 1, depth + 1)
+                recurse(cand, b_shifts, pool, i + 1)
                 b_shifts.pop()
 
-    if seed is None:
-        recurse(full, [], list(universe), 0, 1)
-    else:
-        recurse(allowed[seed], [seed], list(universe), 0, 1)
+    recurse(tmask, [0], universe, 0)
     return results, node_count
 
 
 def _product_search(
     ctx: FieldContext, target: ElementSet, min_size: int
 ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
-    p = ctx.p
-    m = p - 1
+    """Products as translates of discrete logs (n = p - 1), in canonical form."""
     dlog = ctx.dlog_table
-    full = (1 << m) - 1
     texp = 0
     for s in target:
         texp |= 1 << dlog[s]
-    size = len(target)
-    allowed: list[int | None] = [None] * m
-    allowed[0] = texp  # seed b = 1
-    universe = []
-    for b in range(2, p):
-        s = dlog[b]
-        cand = _rotate(texp, (m - s) % m, m, full)
-        # b can only join B alongside the seed if >= min_size elements work
-        # for both, i.e. |target & b^-1 target| >= min_size
-        if (cand & texp).bit_count() >= min_size:
-            allowed[s] = cand
-            universe.append(s)
-    raw, nodes = _additive_engine(
-        modulus=m,
-        target=texp,
-        size=size,
-        universe=universe,
-        allowed=allowed,
-        seed=0,
-        min_size=min_size,
-    )
+    raw, nodes = _translate_cover(ctx.p - 1, texp, min_size)
     pow_table = ctx.power_table
     canon = set()
     for a_mask, b_shifts in raw:
@@ -241,26 +217,17 @@ def _product_search(
 def _sum_search(
     ctx: FieldContext, target: ElementSet, min_size: int
 ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
+    """Sums over Z_p; each seeded witness stands for its p translates (A + t, B - t)."""
     p = ctx.p
-    full = (1 << p) - 1
-    tmask = target.mask
-    size = len(target)
-    allowed = [_rotate(tmask, (p - b) % p, p, full) for b in range(p)]
-    raw, nodes = _additive_engine(
-        modulus=p,
-        target=tmask,
-        size=size,
-        universe=list(range(p)),
-        allowed=allowed,
-        seed=None,
-        min_size=min_size,
-    )
+    raw, nodes = _translate_cover(p, target.mask, min_size)
     canon = set()
-    for a_mask, b_list in raw:
-        a = _mask_to_tuple(a_mask)
-        b = tuple(sorted(b_list))
-        # sumsets have no scaling symmetry; break the A/B swap symmetry only
-        canon.add(tuple(sorted((a, b))))
+    for a_mask, b_shifts in raw:
+        a_elems = _mask_to_tuple(a_mask)
+        for t in range(p):
+            a = tuple(sorted((x + t) % p for x in a_elems))
+            b = tuple(sorted((s - t) % p for s in b_shifts))
+            # sumsets have no scaling symmetry; break the A/B swap symmetry only
+            canon.add(tuple(sorted((a, b))))
     return sorted(canon), nodes
 
 
@@ -303,8 +270,9 @@ def factorization_oracle(
     """Naive reference enumeration of the same canonical witnesses.
 
     Flat subset enumeration with direct arithmetic and no search pruning
-    beyond the definition itself; intended for p <= 23 (PRODUCT) and small p
-    (SUM) cross-checks of the recursive engine.
+    beyond the definition itself; intended for p <= 23 cross-checks of the
+    engine.  SUM stays unseeded, B ranging over all of Z_p, so it checks the
+    engine's translation reduction independently.
     """
     p = ctx.p
     size = len(target)

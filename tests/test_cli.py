@@ -34,6 +34,18 @@ class TestExitCodes:
         assert code == 1
         assert "no odd primes" in err
 
+    def test_pmax_above_max_prime_exits_one(self):
+        code, out, err = run_cli("verify", "levsonn", "--pmin", "1048577", "--pmax", "1048700")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --pmax must be at most 1048576\n"
+
+    def test_huge_pmax_exits_one_without_scanning_primes(self):
+        code, out, err = run_cli("verify", "levsonn", "--pmax", "100000000000")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --pmax must be at most 1048576\n"
+
     def test_violation_exits_two(self):
         code, out, err = run_cli("verify", "clique", "--pmin", "41", "--pmax", "41")
         assert code == 2

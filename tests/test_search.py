@@ -407,3 +407,61 @@ class TestRepresentationOracle:
         report = find_difference_representations(make_field(p), target)
         assert [w.a for w in report.witnesses] == \
             _oracle_representations(p, target, SetOp.DIFFERENCE)
+
+
+SYMMETRY_PRIMES = (17, 19, 23)
+
+
+def _sum_pair(a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A sum witness in its listed form: both parts sorted, the smaller first."""
+    return tuple(sorted((tuple(sorted(a)), tuple(sorted(b)))))
+
+
+@st.composite
+def _composed_targets(draw, op: SetOp) -> tuple[int, ElementSet]:
+    """(p, A op B) for random A, B of size 2..3, so the target has a witness."""
+    p = draw(st.sampled_from(SYMMETRY_PRIMES))
+    low = 1 if op is SetOp.PRODUCT else 0
+    factor = st.sets(st.integers(low, p - 1), min_size=2, max_size=3).map(
+        lambda s: ElementSet.from_elements(p, s))
+    return p, compose_sets(draw(factor), draw(factor), op)
+
+
+class TestSearchSymmetries:
+    """The symmetries behind seeding 0 in B, at primes the per-test oracle skips."""
+
+    @given(_composed_targets(SetOp.SUM), st.data())
+    def test_sum_witnesses_follow_translation(self, case, data):
+        p, target = case
+        t = data.draw(st.integers(1, p - 1))
+        ctx = make_field(p)
+        shifted = ElementSet.from_elements(p, [(x + t) % p for x in target])
+        base = find_exact_factorizations(ctx, target, DecompKind.SUM).witnesses
+        moved = find_exact_factorizations(ctx, shifted, DecompKind.SUM).witnesses
+        assert base
+        # a listed witness is an unordered pair, so translate either part
+        ordered = [pair for w in base for pair in ((w.a, w.b), (w.b, w.a))]
+        assert [(w.a, w.b) for w in moved] == sorted(
+            {_sum_pair([(x + t) % p for x in a], b) for a, b in ordered})
+
+    @given(_composed_targets(SetOp.SUM))
+    def test_sum_witnesses_are_closed_under_opposite_translation(self, case):
+        p, target = case
+        report = find_exact_factorizations(make_field(p), target, DecompKind.SUM)
+        found = {(w.a, w.b) for w in report.witnesses}
+        assert found
+        for a, b in found:
+            for u in range(1, p):
+                assert _sum_pair([(x + u) % p for x in a], [(y - u) % p for y in b]) in found
+
+    @given(_composed_targets(SetOp.PRODUCT), st.data())
+    def test_product_witnesses_follow_scaling(self, case, data):
+        p, target = case
+        c = data.draw(st.integers(2, p - 1))
+        ctx = make_field(p)
+        scaled = ElementSet.from_elements(p, [c * x % p for x in target])
+        base = find_exact_factorizations(ctx, target, DecompKind.PRODUCT).witnesses
+        moved = find_exact_factorizations(ctx, scaled, DecompKind.PRODUCT).witnesses
+        assert base
+        assert [(w.a, w.b) for w in moved] == sorted(
+            {canonical_product_witness(ctx, [c * x % p for x in w.a], w.b) for w in base})

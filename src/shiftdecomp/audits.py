@@ -84,13 +84,15 @@ def _build_tasks(
 ) -> list[tuple]:
     """Tasks in canonical order: p, then subgroup order, then parameters.
 
-    A task is (kind value, p, subgroup order, record params, oracle).
+    A task is (kind value, p, subgroup order, record params, oracle); the
+    Paley clique audit has the one order (p - 1) / 2 per prime p = 1 mod 4.
     """
     tasks: list[tuple] = []
     for p in primes_in_range(p_min, p_max):
         if kind is AuditKind.PALEY_CLIQUE:
-            if p % 4 == 1:
-                tasks.append((kind.value, p, (p - 1) // 2, {}, oracle))
+            d = (p - 1) // 2
+            if p % 4 == 1 and (orders is None or d in orders):
+                tasks.append((kind.value, p, d, {}, oracle))
             continue
         ctx = make_field(p)
         for d in proper_orders(p):

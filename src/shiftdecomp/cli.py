@@ -168,6 +168,9 @@ def _run_audit(args, kind: AuditKind) -> int:
         except TheoremViolation as exc:
             records.extend(exc.records)
             violations.append(exc)
+    if not records:
+        print("error: no audit tasks for the selected primes and --orders", file=sys.stderr)
+        return EXIT_USAGE
     _emit(records, args.out)
     for exc in violations:
         _violation(exc)

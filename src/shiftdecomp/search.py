@@ -5,10 +5,12 @@ A + B = T on Z_p for sums, and the same search on discrete logs (n = p - 1)
 for products, where scaling becomes a cyclic shift of the membership mask.
 The engine is seeded with 0 in B, since (A + t, B - t) solves whenever
 (A, B) does; sums list every translate again, products keep the
-scaling-canonical witness.  Representation searches share one difference-set
-engine over Z_n: A - A = T is a clique enumeration on the difference graph of
-T, A/A = T is the same search on discrete logs (n = p - 1), and the
-difference-clique maximum is an exact branch-and-bound on the graph of
+scaling-canonical witness.  It prunes by one rule: a branch stops when A + B
+together with every still-usable translate of A cannot cover T.
+Representation searches share one difference-set engine over Z_n: A - A = T
+is a Bron-Kerbosch enumeration of the maximal cliques of the difference graph
+of T, A/A = T is the same search on discrete logs (n = p - 1), and the
+difference-clique maximum is the largest maximal clique of the graph of
 G union {0}.
 """
 
@@ -125,6 +127,15 @@ def canonical_product_witness(
     )
 
 
+def _log_mask(ctx: FieldContext, target: ElementSet) -> int:
+    """A target avoiding 0 as the bitmask of its discrete logs over Z_(p-1)."""
+    dlog = ctx.dlog_table
+    mask = 0
+    for x in target:
+        mask |= 1 << dlog[x]
+    return mask
+
+
 def _translate_cover(
     n: int, tmask: int, min_size: int
 ) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
@@ -135,9 +146,15 @@ def _translate_cover(
     (A, B) -> (A + t, B - t), so seeding 0 into B loses nothing up to
     translation.  B grows from {0} along the shifts s whose T & (T - s) keeps
     min_size elements, fewest first (ties by s).
+
+    One pruning rule: a node's usable shifts are the later ones that keep
+    min_size elements of A & (T - s), and the subtree is cut when A + B
+    together with every usable (A & (T - s)) + s still misses part of T.
+    Below the node A only shrinks and B only gains usable shifts, so every
+    sumset there lies inside that union; the union lies inside T, so
+    equality means it may still cover.
     """
     full = (1 << n) - 1
-    size = tmask.bit_count()
     allowed = [_rotate(tmask, -s % n, n, full) for s in range(n)]  # T - s
     overlap = [(allowed[s] & tmask).bit_count() for s in range(n)]
     universe = sorted((s for s in range(1, n) if overlap[s] >= min_size),
@@ -145,54 +162,28 @@ def _translate_cover(
     results: list[tuple[int, tuple[int, ...]]] = []
     node_count = 0
 
-    def union_shifts(a_mask: int, shifts: Sequence[int]) -> int:
-        got = 0
-        for s in shifts:
-            got |= _rotate(a_mask, s, n, full)
-        return got
-
-    def recurse(a_mask: int, b_shifts: list[int], pool: Sequence[int], start: int) -> None:
+    def recurse(a_mask: int, b_shifts: list[int], pool: Sequence[int]) -> None:
         nonlocal node_count
         node_count += 1
-        na = a_mask.bit_count()
-        nb = len(b_shifts)
-        if nb >= min_size and na * nb >= size:
-            if union_shifts(a_mask, b_shifts) == tmask:
-                results.append((a_mask, tuple(b_shifts)))
-        if nb >= size:
-            # every element of B maps A into the target injectively, so
-            # |B| > |target| can never cover
+        covered = 0
+        for s in b_shifts:
+            covered |= _rotate(a_mask, s, n, full)
+        if covered == tmask and len(b_shifts) >= min_size:
+            results.append((a_mask, tuple(b_shifts)))
+        usable = []
+        for s in pool:
+            trimmed = a_mask & allowed[s]
+            if trimmed.bit_count() >= min_size:
+                usable.append(s)
+                covered |= _rotate(trimmed, s, n, full)
+        if covered != tmask:
             return
-        if nb % 4 == 0:
-            # every fourth level, refresh the pool against the current A and
-            # prune subtrees whose best-possible coverage already misses part
-            # of the target; each candidate's contribution is capped by
-            # allowed[s] so the union stays inside the target and equality
-            # means full coverage
-            fresh = []
-            potential = union_shifts(a_mask, b_shifts)
-            for i in range(start, len(pool)):
-                s = pool[i]
-                trimmed = a_mask & allowed[s]
-                if trimmed.bit_count() >= min_size:
-                    fresh.append(s)
-                    potential |= _rotate(trimmed, s, n, full)
-            if potential != tmask:
-                return
-            pool, start = fresh, 0
-        # between refreshes the stale pool length still upper-bounds the
-        # number of usable extensions, so this cheap cut stays sound
-        if na * (nb + len(pool) - start) < size:
-            return
-        for i in range(start, len(pool)):
-            s = pool[i]
-            cand = a_mask & allowed[s]
-            if cand.bit_count() >= min_size:
-                b_shifts.append(s)
-                recurse(cand, b_shifts, pool, i + 1)
-                b_shifts.pop()
+        for i, s in enumerate(usable):
+            b_shifts.append(s)
+            recurse(a_mask & allowed[s], b_shifts, usable[i + 1:])
+            b_shifts.pop()
 
-    recurse(tmask, [0], universe, 0)
+    recurse(tmask, [0], universe)
     return results, node_count
 
 
@@ -200,11 +191,7 @@ def _product_search(
     ctx: FieldContext, target: ElementSet, min_size: int
 ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
     """Products as translates of discrete logs (n = p - 1), in canonical form."""
-    dlog = ctx.dlog_table
-    texp = 0
-    for s in target:
-        texp |= 1 << dlog[s]
-    raw, nodes = _translate_cover(ctx.p - 1, texp, min_size)
+    raw, nodes = _translate_cover(ctx.p - 1, _log_mask(ctx, target), min_size)
     pow_table = ctx.power_table
     canon = set()
     for a_mask, b_shifts in raw:
@@ -405,10 +392,7 @@ def find_ratio_representations(ctx: FieldContext, target: ElementSet) -> SearchR
     witnesses: list[tuple[int, ...]] = []
     nodes = 0
     if 1 in target:
-        tlog = 0
-        for x in target:
-            tlog |= 1 << ctx.dlog_table[x]
-        logs, nodes = _difference_representations(ctx.p - 1, tlog)
+        logs, nodes = _difference_representations(ctx.p - 1, _log_mask(ctx, target))
         witnesses = sorted(tuple(sorted(ctx.power_table[e] for e in w)) for w in logs)
     return _report(ctx.p, DecompKind.RATIO_REP, target, [(w,) for w in witnesses], nodes, start)
 
@@ -423,41 +407,10 @@ def find_difference_representations(ctx: FieldContext, target: ElementSet) -> Se
                    [(w,) for w in sorted(witnesses)], nodes, start)
 
 
-def _max_clique_size(vertices: Sequence[int], adj: dict[int, int]) -> int:
-    """Exact maximum clique size by branch-and-bound with greedy colouring."""
-    best = 0
-
-    def expand(r_size: int, cand: list[int]) -> None:
-        nonlocal best
-        if not cand:
-            if r_size > best:
-                best = r_size
-            return
-        colors: dict[int, int] = {}
-        classes: list[int] = []
-        for v in cand:
-            for ci in range(len(classes)):
-                if not (classes[ci] & adj[v]):
-                    classes[ci] |= 1 << v
-                    colors[v] = ci + 1
-                    break
-            else:
-                classes.append(1 << v)
-                colors[v] = len(classes)
-        ordered = sorted(cand, key=colors.__getitem__)
-        for i in range(len(ordered) - 1, -1, -1):
-            v = ordered[i]
-            if r_size + colors[v] <= best:
-                return
-            expand(r_size + 1, [w for w in ordered[:i] if (adj[v] >> w) & 1])
-
-    expand(0, list(vertices))
-    return best
-
-
 def max_difference_clique(ctx: FieldContext, subgroup: MultSubgroup) -> int:
     """Largest |A| with A - A inside G union {0} (ordered differences)."""
     # translate A to contain 0; if -1 is outside G, x and -x are never both
     # differences, so the graph is the single vertex 0
     target = subgroup.elements.with_element(0)
-    return _max_clique_size(*_difference_graph(ctx.p, target.mask))
+    cliques, _ = _maximal_cliques(*_difference_graph(ctx.p, target.mask))
+    return max(c.bit_count() for c in cliques)

@@ -232,10 +232,10 @@ def audit_instance(
     r_elements = tuple(sorted({neg_lam * ctx.inv_table[ai] % p for ai in a} & set(b)))
     r = len(r_elements)
 
-    sol = solve_coefficients(ctx, a_set)
     f = build_auxiliary_polynomial(ctx, a_set, lam, g_order)
     cap = n - 1 + g_order
-    c_leading = sum(ci * pow(ai, cap, p) for ci, ai in zip(sol.coefficients, sol.a_elements)) % p
+    # the x^cap coefficient is binom(cap, cap) lam^0 M_cap = M_cap = sum c_i a_i^cap
+    c_leading = f.coefficient(cap)
 
     if f.is_zero():
         return AuxAudit(

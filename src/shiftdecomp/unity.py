@@ -267,13 +267,15 @@ class DihedralReport:
 
 
 def classify_circle_preserving_maps(m: int, *, tol: float = DEFAULT_TOL) -> DihedralReport:
-    """Enumerate all G-triple-to-G-triple Mobius fits and classify survivors.
+    """Fit a Mobius map from (g_0, g_1, g_2) to every G-triple and classify survivors.
 
-    A fit survives when it maps G onto G bijectively and keeps 4m sampled
-    circle points (plus the fitted ones) on the unit circle.  Each survivor is
-    matched pointwise against the 2m candidate maps z -> zeta^j z and
-    z -> zeta^j / z; a survivor matching neither raises TheoremViolation, and
-    so does a final tally different from 2m.
+    A Mobius map is fixed by the images of three points, so these m(m-1)(m-2)
+    fits are every map that could send G into G.  A fit survives when it maps
+    G onto G bijectively and keeps 4m sampled circle points (plus the fitted
+    ones) on the unit circle.  Each survivor is matched pointwise against the
+    2m candidate maps z -> zeta^j z and z -> zeta^j / z; a survivor matching
+    neither raises TheoremViolation, and so does a final tally different
+    from 2m.
     """
     if not 3 <= m <= 12:
         raise ValueError(f"classification supports 3 <= m <= 12, got {m}")
@@ -281,59 +283,54 @@ def classify_circle_preserving_maps(m: int, *, tol: float = DEFAULT_TOL) -> Dihe
     g = group.elements
     samples = [cmath.rect(1.0, 2.0 * math.pi * (t + 0.5) / (4 * m)) for t in range(4 * m)]
 
-    triples = list(permutations(range(m), 3))
-    source_maps = [_triple_to_standard(g[i], g[j], g[k]) for i, j, k in triples]
-    target_invs = [
-        _triple_to_standard(g[i], g[j], g[k]).inverse() for i, j, k in triples
-    ]
+    fwd = _triple_to_standard(g[0], g[1], g[2])
 
     found: set[tuple[str, int]] = set()
     fits = 0
-    for back in target_invs:
-        for fwd in source_maps:
-            fits += 1
-            psi = back.compose(fwd)
-            if abs(psi.determinant) <= _DET_TOL:
-                continue
+    for triple in permutations(g, 3):
+        fits += 1
+        psi = _triple_to_standard(*triple).inverse().compose(fwd)
+        if abs(psi.determinant) <= _DET_TOL:
+            continue
 
-            image = []
-            bijective = True
-            for z in g:
-                idx = group.nearest_index(psi.apply(z), tol)
-                if idx is None:
-                    bijective = False
-                    break
-                image.append(idx)
-            if not bijective or len(set(image)) != m:
-                continue
+        image = []
+        bijective = True
+        for z in g:
+            idx = group.nearest_index(psi.apply(z), tol)
+            if idx is None:
+                bijective = False
+                break
+            image.append(idx)
+        if not bijective or len(set(image)) != m:
+            continue
 
-            on_circle = True
-            for s in samples:
-                w = psi.apply(s)
-                if _is_inf(w) or abs(abs(w) - 1.0) > tol:
-                    on_circle = False
-                    break
-            if not on_circle:
-                continue
+        on_circle = True
+        for s in samples:
+            w = psi.apply(s)
+            if _is_inf(w) or abs(abs(w) - 1.0) > tol:
+                on_circle = False
+                break
+        if not on_circle:
+            continue
 
-            j = image[0]
-            succ = group.nearest_index(psi.apply(g[1 % m]), tol)
-            if succ == (j + 1) % m:
-                kind, shift = "rotation", j
-                model = lambda z, w=g[j]: w * z
-            elif succ == (j - 1) % m:
-                kind, shift = "reflection", j
-                model = lambda z, w=g[j]: w / z
-            else:
-                raise TheoremViolation(
-                    f"survivor at m={m} matches no dihedral map: images {image}"
-                )
-            if all(abs(psi.apply(z) - model(z)) <= tol for z in g):
-                found.add((kind, shift))
-            else:
-                raise TheoremViolation(
-                    f"survivor at m={m} deviates from {kind} by zeta^{shift}"
-                )
+        j = image[0]
+        succ = group.nearest_index(psi.apply(g[1 % m]), tol)
+        if succ == (j + 1) % m:
+            kind, shift = "rotation", j
+            model = lambda z, w=g[j]: w * z
+        elif succ == (j - 1) % m:
+            kind, shift = "reflection", j
+            model = lambda z, w=g[j]: w / z
+        else:
+            raise TheoremViolation(
+                f"survivor at m={m} matches no dihedral map: images {image}"
+            )
+        if all(abs(psi.apply(z) - model(z)) <= tol for z in g):
+            found.add((kind, shift))
+        else:
+            raise TheoremViolation(
+                f"survivor at m={m} deviates from {kind} by zeta^{shift}"
+            )
 
     rotations = tuple(sorted(j for kind, j in found if kind == "rotation"))
     reflections = tuple(sorted(j for kind, j in found if kind == "reflection"))

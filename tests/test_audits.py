@@ -231,6 +231,23 @@ class TestCliqueAudit:
         assert 2 * k * (k - 1) > 41 - 3
 
 
+class TestSearchWork:
+    """The summed ``nodes`` of the factorization audits over 3..23.
+
+    Node counts are deterministic, so they pin the work the cover engine
+    does.  A change to its pruning or branching order that moves them must
+    update these figures on purpose and log the old and new totals.
+    """
+
+    @pytest.mark.parametrize(
+        "kind,nodes",
+        [(AuditKind.SARKOZY_PRODUCT, 2270), (AuditKind.KALMYNIN_SUM, 452)],
+    )
+    def test_summed_nodes(self, kind, nodes):
+        recs = audit_theorems(3, 23, kind)
+        assert sum(r["nodes"] for r in recs) == nodes
+
+
 class TestViolationReport:
     @staticmethod
     def clique_record(p, clique):

@@ -63,6 +63,22 @@ class TestExitCodes:
         echoed = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
         assert [(r["p"], r["params"]["clique"]) for r in echoed] == [(41, 5)]
 
+    def test_audit_without_tasks_exits_one(self):
+        # no odd prime up to 13 has a proper subgroup of order 7
+        code, out, err = run_cli("verify", "sarkozy", "--pmax", "13", "--orders", "7")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: no audit tasks") and err.count("\n") == 1
+
+    def test_clique_orders_select_the_paley_order(self):
+        code, out, err = run_cli("verify", "clique", "--pmax", "20", "--orders", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: no audit tasks")
+        code, out, _ = run_cli("verify", "clique", "--pmax", "30", "--orders", "8")
+        assert code == 0
+        assert [(r["p"], r["subgroup_order"]) for r in parse_lines(out)] == [(17, 8)]
+
     def test_unknown_command_exits_one(self):
         code, _, err = run_cli("nonsense")
         assert code == 1

@@ -180,6 +180,30 @@ class TestOracleAgreement:
         engine = sorted(tuple(sorted((w.a, w.b))) for w in report.witnesses)
         assert engine == sorted(factorization_oracle(ctx, target, DecompKind.SUM))
 
+    @given(st.sampled_from(PRIMES), st.sampled_from((1, 3)), st.data())
+    def test_product_engine_matches_oracle_at_min_size(self, p, min_size, data):
+        ctx = make_field(p)
+        target = data.draw(
+            st.sets(
+                st.integers(min_value=1, max_value=p - 1), min_size=1, max_size=p - 1
+            ).map(lambda s: ElementSet.from_elements(p, s))
+        )
+        report = find_exact_factorizations(ctx, target, DecompKind.PRODUCT, min_size)
+        engine = sorted((w.a, w.b) for w in report.witnesses)
+        assert engine == factorization_oracle(ctx, target, DecompKind.PRODUCT, min_size)
+
+    @given(st.sampled_from(PRIMES), st.sampled_from((1, 3)), st.data())
+    def test_sum_engine_matches_oracle_at_min_size(self, p, min_size, data):
+        ctx = make_field(p)
+        target = data.draw(
+            st.sets(
+                st.integers(min_value=0, max_value=p - 1), min_size=1, max_size=p
+            ).map(lambda s: ElementSet.from_elements(p, s))
+        )
+        report = find_exact_factorizations(ctx, target, DecompKind.SUM, min_size)
+        engine = sorted((w.a, w.b) for w in report.witnesses)
+        assert engine == factorization_oracle(ctx, target, DecompKind.SUM, min_size)
+
     @given(st.sampled_from(PRIMES), st.data())
     def test_every_witness_recomposes(self, p, data):
         ctx = make_field(p)

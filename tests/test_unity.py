@@ -159,7 +159,8 @@ class TestCirclePreservingMaps:
         assert report.rotations == tuple(range(m))
         assert report.reflections == tuple(range(m))
         assert report.complete
-        assert report.fits_tested > 0
+        # one fit from (g_0, g_1, g_2) to each ordered triple of G
+        assert report.fits_tested == m * (m - 1) * (m - 2)
 
     def test_rejects_out_of_range_order(self):
         with pytest.raises(ValueError):

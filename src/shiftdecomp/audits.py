@@ -1,8 +1,10 @@
 """Exhaustive theorem audits over ranges of primes and subgroups.
 
-Each audit expands into a canonically ordered list of independent tasks
-(p, subgroup order, parameters), runs the relevant exact search per task, and
-checks the expected outcome over the merged records.  Workers are stateless,
+Every audited claim is quantified first over a proper subgroup G of F_p^*, so
+an audit expands into a canonically ordered list of independent tasks, one per
+(p, |G|).  A task builds its field and subgroup once and returns that
+subgroup's records in canonical order: one per shift lambda, per shifted coset
+(variant, xi, mu), or the single record of G itself.  Workers are stateless,
 so records are deterministic for a fixed configuration regardless of worker
 count; unexpected witnesses raise one TheoremViolation carrying every record.
 """
@@ -75,56 +77,60 @@ def _coset_representatives(ctx: FieldContext, subgroup: MultSubgroup) -> list[in
     return reps
 
 
-def _build_tasks(
-    kind: AuditKind,
-    p_min: int,
-    p_max: int,
-    orders: tuple[int, ...] | None,
-    oracle: bool,
-) -> list[tuple]:
-    """Tasks in canonical order: p, then subgroup order, then parameters.
+def _build_tasks(kind: AuditKind, p_min: int, p_max: int,
+                 orders: tuple[int, ...] | None, oracle: bool) -> list[tuple]:
+    """One task per subgroup, in canonical order: p, then subgroup order.
 
-    A task is (kind value, p, subgroup order, record params, oracle); the
-    Paley clique audit has the one order (p - 1) / 2 per prime p = 1 mod 4.
+    A task is (kind value, p, subgroup order, oracle) and yields every record
+    of that subgroup; the Paley clique audit has the one order (p - 1) / 2 per
+    prime p = 1 mod 4.
     """
     tasks: list[tuple] = []
     for p in primes_in_range(p_min, p_max):
         if kind is AuditKind.PALEY_CLIQUE:
-            d = (p - 1) // 2
-            if p % 4 == 1 and (orders is None or d in orders):
-                tasks.append((kind.value, p, d, {}, oracle))
-            continue
-        ctx = make_field(p)
-        for d in proper_orders(p):
-            if orders is not None and d not in orders:
-                continue
-            subgroup = subgroup_of_order(ctx, d)
-            if kind is AuditKind.SARKOZY_PRODUCT:
-                params = [{"lambda": lam} for lam in subgroup.elements]
-            elif kind is AuditKind.LAMBDA_CENSUS:
-                params = [{"lambda": lam} for lam in _coset_representatives(ctx, subgroup)
-                          if lam not in subgroup.elements]
-            elif kind is AuditKind.SHIFTED_RATIO:
-                reps = _coset_representatives(ctx, subgroup)
-                params = [{"variant": variant.value, "xi": xi, "mu": mu}
-                          for variant in (TargetVariant.XI_SHIFT, TargetVariant.XI_SHIFT_WITH_ZERO)
-                          for xi in reps for mu in range(1, p)]
-            else:
-                params = [{}]
-            tasks.extend((kind.value, p, d, param, oracle) for param in params)
+            candidates = [(p - 1) // 2] if p % 4 == 1 else []
+        else:
+            candidates = proper_orders(p)
+        tasks.extend((kind.value, p, d, oracle) for d in candidates
+                     if orders is None or d in orders)
     return tasks
 
 
-# kind -> (target variant, search kind, largest p cross-checked by the oracle).
-# Ratio tasks name their variant in their params; a None variant means the
-# target is G itself, and a None search means the task is the clique number.
-_TASK_TABLE = {
-    AuditKind.SARKOZY_PRODUCT: (TargetVariant.SHIFT_MINUS_LAMBDA, DecompKind.PRODUCT, ORACLE_MAX),
-    AuditKind.LAMBDA_CENSUS: (TargetVariant.SHIFT_MINUS_LAMBDA, DecompKind.PRODUCT, ORACLE_MAX),
-    AuditKind.SHIFTED_RATIO: (None, DecompKind.RATIO_REP, 0),
-    AuditKind.LEV_SONN_DIFFERENCE: (TargetVariant.G_UNION_ZERO, DecompKind.DIFF_REP, 0),
-    AuditKind.KALMYNIN_SUM: (None, DecompKind.SUM, ORACLE_MAX),
-    AuditKind.PALEY_CLIQUE: (None, None, 0),
+def _targets(kind: AuditKind, ctx: FieldContext, subgroup: MultSubgroup):
+    """Yield (record params, target) for each record of one subgroup, in canonical order.
+
+    The Paley clique record has no target; its params carry the clique number.
+    """
+    if kind in (AuditKind.SARKOZY_PRODUCT, AuditKind.LAMBDA_CENSUS):
+        shifts = subgroup.elements if kind is AuditKind.SARKOZY_PRODUCT else [
+            lam for lam in _coset_representatives(ctx, subgroup)
+            if lam not in subgroup.elements]
+        for lam in shifts:
+            yield {"lambda": lam}, build_target(subgroup, TargetVariant.SHIFT_MINUS_LAMBDA,
+                                                lam=lam)
+    elif kind is AuditKind.SHIFTED_RATIO:
+        reps = _coset_representatives(ctx, subgroup)
+        for variant in (TargetVariant.XI_SHIFT, TargetVariant.XI_SHIFT_WITH_ZERO):
+            for xi in reps:
+                for mu in range(1, ctx.p):
+                    yield ({"variant": variant.value, "xi": xi, "mu": mu},
+                           build_target(subgroup, variant, xi=xi, mu=mu))
+    elif kind is AuditKind.LEV_SONN_DIFFERENCE:
+        yield {}, build_target(subgroup, TargetVariant.G_UNION_ZERO)
+    elif kind is AuditKind.KALMYNIN_SUM:
+        yield {}, subgroup.elements
+    else:
+        yield {"clique": max_difference_clique(ctx, subgroup)}, None
+
+
+# kind -> search kind; the Paley clique audit runs no search
+_SEARCH_KIND = {
+    AuditKind.SARKOZY_PRODUCT: DecompKind.PRODUCT,
+    AuditKind.LAMBDA_CENSUS: DecompKind.PRODUCT,
+    AuditKind.SHIFTED_RATIO: DecompKind.RATIO_REP,
+    AuditKind.LEV_SONN_DIFFERENCE: DecompKind.DIFF_REP,
+    AuditKind.KALMYNIN_SUM: DecompKind.SUM,
+    AuditKind.PALEY_CLIQUE: None,
 }
 
 
@@ -156,38 +162,35 @@ def _search(ctx: FieldContext, target: ElementSet, kind: DecompKind):
     return find_exact_factorizations(ctx, target, kind)
 
 
-def _execute_task(task: tuple) -> dict:
-    """Run one audit task; must stay top-level so worker processes can load it."""
-    kind_value, p, order, params, oracle = task
-    variant, search_kind, oracle_max = _TASK_TABLE[AuditKind(kind_value)]
+def _execute_task(task: tuple) -> list[dict]:
+    """Run the audit of one subgroup; must stay top-level so worker processes can load it.
+
+    Each record times its own target build, search and checks.  The oracle
+    cross-checks products and sums for p <= ORACLE_MAX.
+    """
+    kind_value, p, order, oracle = task
+    kind = AuditKind(kind_value)
+    search_kind = _SEARCH_KIND[kind]
+    cross_check = (oracle and p <= ORACLE_MAX
+                   and search_kind in (DecompKind.PRODUCT, DecompKind.SUM))
     ctx = make_field(p)
-    start = time.perf_counter()
     subgroup = subgroup_of_order(ctx, order)
-    witnesses, nodes = [], 0
-    if search_kind is None:
-        params = {"clique": max_difference_clique(ctx, subgroup)}
-    else:
-        variant = params.get("variant", variant)
-        if variant is None:
-            target = subgroup.elements
-        else:
-            target = build_target(subgroup, TargetVariant(variant), lam=params.get("lambda"),
-                                  xi=params.get("xi"), mu=params.get("mu"))
+    records = []
+    start = time.perf_counter()
+    for params, target in _targets(kind, ctx, subgroup):
+        witnesses, exhaustive, nodes = [], True, 0
         if target:
             report = _search(ctx, target, search_kind)
-            if oracle and p <= oracle_max:
+            if cross_check:
                 _cross_check_oracle(ctx, target, search_kind, report)
-            witnesses, nodes = _witnesses(report, target), report.nodes
-    return {
-        "task": kind_value,
-        "p": p,
-        "subgroup_order": order,
-        "params": params,
-        "witnesses": witnesses,
-        "exhaustive": True,
-        "nodes": nodes,
-        "elapsed_ms": int((time.perf_counter() - start) * 1000),
-    }
+            witnesses, exhaustive, nodes = (_witnesses(report, target), report.exhaustive,
+                                            report.nodes)
+        end = time.perf_counter()
+        records.append({"task": kind_value, "p": p, "subgroup_order": order, "params": params,
+                        "witnesses": witnesses, "exhaustive": exhaustive, "nodes": nodes,
+                        "elapsed_ms": round((end - start) * 1000, 3)})
+        start = end
+    return records
 
 
 def _violation(kind: AuditKind, record: dict) -> str | None:
@@ -254,9 +257,10 @@ def audit_theorems(
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_execute_task, tasks, chunksize=16))
+            per_task = list(pool.map(_execute_task, tasks))
     else:
-        records = [_execute_task(task) for task in tasks]
+        per_task = map(_execute_task, tasks)
+    records = [record for task_records in per_task for record in task_records]
     _assert_expectations(kind, records)
     return records
 
@@ -276,8 +280,8 @@ def reproduce_counterexamples() -> list[dict]:
     """
     records = []
     for p, order, lam, a_known, b_known in KNOWN_COUNTEREXAMPLES:
-        task = (AuditKind.LAMBDA_CENSUS.value, p, order, {"lambda": lam}, False)
-        record = _execute_task(task)
+        census = audit_theorems(p, p, AuditKind.LAMBDA_CENSUS, orders=(order,))
+        (record,) = [r for r in census if r["params"]["lambda"] == lam]
         expected = canonical_product_witness(make_field(p), a_known, b_known)
         found = [(tuple(w["A"]), tuple(w["B"])) for w in record["witnesses"]]
         if found != [expected]:

@@ -12,6 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
+from dataclasses import fields
+from functools import partial
+from typing import get_type_hints
 
 from .audits import AuditKind, audit_theorems, primes_in_range, reproduce_counterexamples
 from .errors import BoundViolationError, TheoremViolation
@@ -117,14 +121,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(records, out_path: str | None) -> None:
-    lines = [json.dumps(record, sort_keys=True) for record in records]
-    if out_path is None:
-        for line in lines:
-            print(line)
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            for line in lines:
-                handle.write(line + "\n")
+    """Write each record as one sorted-key JSON line as soon as it is serialized."""
+    sink = nullcontext(sys.stdout) if out_path is None else open(out_path, "w", encoding="utf-8")
+    with sink as handle:
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _violation(exc: Exception) -> int:
@@ -186,76 +187,45 @@ def _run_reproduce(args) -> int:
     return EXIT_OK
 
 
-def _run_stepanov(args) -> int:
-    if args.instances < 1:
-        print("error: --instances must be positive", file=sys.stderr)
-        return EXIT_USAGE
+# a suite result field the summary leaves out, since ``passed`` already covers it
+_UNREPORTED = frozenset({"flagship_tight"})
+
+
+def _summary(task: str, result) -> dict:
+    """Every field of a suite result plus ``passed``; a bare ``tuple`` field
+    holds failure records and is written as their count."""
+    hints = get_type_hints(type(result))
+    summary = {"task": task, "passed": result.passed}
+    for field in fields(result):
+        if field.name not in _UNREPORTED:
+            value = getattr(result, field.name)
+            summary[field.name] = len(value) if hints[field.name] is tuple else value
+    return summary
+
+
+def _run_suite(args) -> int:
+    if args.command == "stepanov":
+        if args.instances < 1:
+            print("error: --instances must be positive", file=sys.stderr)
+            return EXIT_USAGE
+        name, run = "stepanov", partial(run_stepanov_suite, instances=args.instances,
+                                        seed=args.seed)
+    elif args.command == "identities":
+        name, run = "identity", partial(run_identity_suite, seed=args.seed)
+    else:
+        if args.mmax_claim < 3 or args.mmax_pairs < 3 or not 3 <= args.mmax_maps <= 12:
+            print("error: unity bounds need mmax >= 3 (maps <= 12)", file=sys.stderr)
+            return EXIT_USAGE
+        name, run = "unity", partial(run_unity_suite, claim_max=args.mmax_claim,
+                                     decomposition_max=args.mmax_pairs,
+                                     classify_max=args.mmax_maps)
     try:
-        result = run_stepanov_suite(instances=args.instances, seed=args.seed)
+        result = run()
     except (BoundViolationError, TheoremViolation) as exc:
         return _violation(exc)
-    summary = {
-        "task": "stepanov-suite",
-        "instances": result.instances,
-        "lam_in_g_instances": result.lam_in_g_instances,
-        "general_equalities": result.general_equalities,
-        "shifted_equalities": result.shifted_equalities,
-        "anomalies": len(result.anomalies),
-        "additive_checked": result.additive_checked,
-        "additive_failures": len(result.additive_failures),
-        "flagship_degree": result.flagship_degree,
-        "passed": result.passed,
-    }
-    _emit([summary], args.out)
+    _emit([_summary(f"{name}-suite", result)], args.out)
     if not result.passed:
-        print(f"VIOLATION: stepanov suite failed: {result}", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
-
-
-def _run_identities(args) -> int:
-    result = run_identity_suite(seed=args.seed)
-    summary = {
-        "task": "identity-suite",
-        "gf_checked": result.gf_checked,
-        "newton_checked": result.newton_checked,
-        "derivative_checked": result.derivative_checked,
-        "harmonic_checked": result.harmonic_checked,
-        "failures": len(result.failures),
-        "passed": result.passed,
-    }
-    _emit([summary], args.out)
-    if not result.passed:
-        print(f"VIOLATION: identity suite failed: {result.failures[:5]}", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
-
-
-def _run_unity(args) -> int:
-    if args.mmax_claim < 3 or args.mmax_pairs < 3 or not 3 <= args.mmax_maps <= 12:
-        print("error: unity bounds need mmax >= 3 (maps <= 12)", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        result = run_unity_suite(
-            claim_max=args.mmax_claim,
-            decomposition_max=args.mmax_pairs,
-            classify_max=args.mmax_maps,
-        )
-    except TheoremViolation as exc:
-        return _violation(exc)
-    summary = {
-        "task": "unity-suite",
-        "claim_orders_checked": result.claim_orders_checked,
-        "decomposition_orders_checked": result.decomposition_orders_checked,
-        "classified_orders": list(result.classified_orders),
-        "claim_failures": list(result.claim_failures),
-        "decomposition_witnesses": len(result.decomposition_witnesses),
-        "max_quadruple_class": result.max_quadruple_class,
-        "passed": result.passed,
-    }
-    _emit([summary], args.out)
-    if not result.passed:
-        print(f"VIOLATION: unity suite failed: {result}", file=sys.stderr)
+        print(f"VIOLATION: {name} suite failed: {result}", file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
 
@@ -273,14 +243,7 @@ def main(argv=None) -> int:
         return _run_audit(args, AuditKind.LAMBDA_CENSUS)
     if args.command == "reproduce":
         return _run_reproduce(args)
-    if args.command == "stepanov":
-        return _run_stepanov(args)
-    if args.command == "identities":
-        return _run_identities(args)
-    if args.command == "unity":
-        return _run_unity(args)
-    print(f"error: unknown command {args.command}", file=sys.stderr)  # pragma: no cover
-    return EXIT_USAGE
+    return _run_suite(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

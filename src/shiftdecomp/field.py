@@ -169,13 +169,13 @@ class FieldContext:
 
 
 @lru_cache(maxsize=64)
-def make_field(p: int, *, max_prime: int = MAX_PRIME) -> FieldContext:
-    """Validated context for the prime field F_p, 3 <= p <= max_prime.
+def make_field(p: int) -> FieldContext:
+    """Validated context for the prime field F_p, 3 <= p <= MAX_PRIME.
 
     Contexts are immutable, so repeated calls share one instance per prime.
     """
-    if p < 3 or p > max_prime:
-        raise OutOfRangeError(f"p must lie in [3, {max_prime}], got {p}")
+    if p < 3 or p > MAX_PRIME:
+        raise OutOfRangeError(f"p must lie in [3, {MAX_PRIME}], got {p}")
     if not is_prime(p):
         raise NotPrimeError(f"{p} is composite")
     return FieldContext(p)

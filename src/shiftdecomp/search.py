@@ -46,7 +46,6 @@ class DecompWitness:
     kind: DecompKind
     a: tuple[int, ...]
     b: tuple[int, ...] | None = None
-    canonical: bool = True
 
     def verify(self, target: ElementSet) -> bool:
         """Recompute the composition from scratch and compare with the target."""

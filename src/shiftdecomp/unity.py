@@ -79,12 +79,12 @@ class UnityGroup:
     def zeta(self) -> complex:
         return self.elements[1 % self.m]
 
-    def nearest_index(self, z: complex, tol: float = DEFAULT_TOL) -> int | None:
-        """Index k with |z - zeta^k| <= tol, or None."""
-        if _is_inf(z) or abs(abs(z) - 1.0) > tol:
+    def nearest_index(self, z: complex) -> int | None:
+        """Index k with |z - zeta^k| <= DEFAULT_TOL, or None."""
+        if _is_inf(z) or abs(abs(z) - 1.0) > DEFAULT_TOL:
             return None
         k = round(self.m * cmath.phase(z) / (2.0 * math.pi)) % self.m
-        return k if abs(z - self.elements[k]) <= tol else None
+        return k if abs(z - self.elements[k]) <= DEFAULT_TOL else None
 
 
 @dataclass(frozen=True)
@@ -184,23 +184,14 @@ class ProductClaimVerdict:
     passed: bool
 
 
-def _oracle_products_equal(m: int, k: int, l: int, t: int, r: int) -> bool:
-    """Exact criterion: x_k x_l = x_t x_r iff the phases and magnitudes match.
-
-    The product is -4 sin(pi k/m) sin(pi l/m) exp(i pi (k+l)/m), so equality
-    holds iff k+l = t+r (mod 2m) and k-l = +-(t-r).
-    """
-    return (k + l - t - r) % (2 * m) == 0 and abs(k - l) == abs(t - r)
-
-
-def check_xk_product_claim(m: int, *, tol: float = DEFAULT_TOL) -> ProductClaimVerdict:
+def check_xk_product_claim(m: int) -> ProductClaimVerdict:
     """Verify that x_k * x_l determines {k, l}, numerically and exactly.
 
     The numeric pass sorts all pairwise products by real part and sweeps for
-    any two distinct index pairs closer than tol.  The exact pass groups index
-    pairs by the combinatorial key (k+l mod 2m, |k-l|); the claim requires
-    every group to be a singleton.  The verdict passes iff both passes are
-    clean and they agree.
+    any two distinct index pairs closer than DEFAULT_TOL.  The exact pass
+    groups index pairs by the combinatorial key (k+l mod 2m, |k-l|); the
+    claim requires every group to be a singleton.  The verdict passes iff
+    both passes are clean and they agree.
     """
     if m < 3:
         raise ValueError(f"claim check needs m >= 3, got {m}")
@@ -221,7 +212,7 @@ def check_xk_product_claim(m: int, *, tol: float = DEFAULT_TOL) -> ProductClaimV
                 break
             gap = abs(prods[i] - prods[j])
             min_gap = min(min_gap, gap)
-            if gap <= tol:
+            if gap <= DEFAULT_TOL:
                 numeric_violations.append((pairs[i], pairs[j], gap))
 
     groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -266,7 +257,7 @@ class DihedralReport:
         )
 
 
-def classify_circle_preserving_maps(m: int, *, tol: float = DEFAULT_TOL) -> DihedralReport:
+def classify_circle_preserving_maps(m: int) -> DihedralReport:
     """Fit a Mobius map from (g_0, g_1, g_2) to every G-triple and classify survivors.
 
     A Mobius map is fixed by the images of three points, so these m(m-1)(m-2)
@@ -296,7 +287,7 @@ def classify_circle_preserving_maps(m: int, *, tol: float = DEFAULT_TOL) -> Dihe
         image = []
         bijective = True
         for z in g:
-            idx = group.nearest_index(psi.apply(z), tol)
+            idx = group.nearest_index(psi.apply(z))
             if idx is None:
                 bijective = False
                 break
@@ -307,14 +298,14 @@ def classify_circle_preserving_maps(m: int, *, tol: float = DEFAULT_TOL) -> Dihe
         on_circle = True
         for s in samples:
             w = psi.apply(s)
-            if _is_inf(w) or abs(abs(w) - 1.0) > tol:
+            if _is_inf(w) or abs(abs(w) - 1.0) > DEFAULT_TOL:
                 on_circle = False
                 break
         if not on_circle:
             continue
 
         j = image[0]
-        succ = group.nearest_index(psi.apply(g[1 % m]), tol)
+        succ = group.nearest_index(psi.apply(g[1 % m]))
         if succ == (j + 1) % m:
             kind, shift = "rotation", j
             model = lambda z, w=g[j]: w * z
@@ -325,7 +316,7 @@ def classify_circle_preserving_maps(m: int, *, tol: float = DEFAULT_TOL) -> Dihe
             raise TheoremViolation(
                 f"survivor at m={m} matches no dihedral map: images {image}"
             )
-        if all(abs(psi.apply(z) - model(z)) <= tol for z in g):
+        if all(abs(psi.apply(z) - model(z)) <= DEFAULT_TOL for z in g):
             found.add((kind, shift))
         else:
             raise TheoremViolation(
@@ -359,7 +350,7 @@ class DecompositionWitness:
     assignment: tuple[int, int, int, int]
 
 
-def search_2x2_decomposition(m: int, *, tol: float = DEFAULT_TOL) -> list[DecompositionWitness]:
+def search_2x2_decomposition(m: int) -> list[DecompositionWitness]:
     """Exhaustive search for A, B with |A| = |B| = 2 and AB = (G - 1) \\ {0}.
 
     Scaling A by t and B by 1/t preserves the product set, so a_1 is pinned to
@@ -383,13 +374,13 @@ def search_2x2_decomposition(m: int, *, tol: float = DEFAULT_TOL) -> list[Decomp
         b1 = xs[k11 - 1]
         b2 = xs[k12 - 1]
         a2 = xs[k21 - 1] / b1
-        if abs(xs[k21 - 1] * xs[k12 - 1] - xs[k22 - 1] * xs[k11 - 1]) > tol:
+        if abs(xs[k21 - 1] * xs[k12 - 1] - xs[k22 - 1] * xs[k11 - 1]) > DEFAULT_TOL:
             continue
-        if abs(1.0 - a2) <= tol or abs(b1 - b2) <= tol:
+        if abs(1.0 - a2) <= DEFAULT_TOL or abs(b1 - b2) <= DEFAULT_TOL:
             continue
         prods = [b1, b2, a2 * b1, a2 * b2]
-        covered = all(any(abs(pr - x) <= tol for pr in prods) for x in xs)
-        inside = all(any(abs(pr - x) <= tol for x in xs) for pr in prods)
+        covered = all(any(abs(pr - x) <= DEFAULT_TOL for pr in prods) for x in xs)
+        inside = all(any(abs(pr - x) <= DEFAULT_TOL for x in xs) for pr in prods)
         if covered and inside:
             witnesses.append(
                 DecompositionWitness(

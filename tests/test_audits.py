@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -14,6 +15,7 @@ from shiftdecomp import (
     primes_in_range,
     reproduce_counterexamples,
 )
+from shiftdecomp.field import proper_orders
 
 RECORD_KEYS = {
     "task",
@@ -56,6 +58,24 @@ class TestRecordContract:
             assert isinstance(r["witnesses"], list)
             assert r["exhaustive"] is True
             assert r["nodes"] >= 0
+
+    def test_elapsed_ms_is_float_milliseconds(self):
+        recs = audit_theorems(3, 13, AuditKind.SARKOZY_PRODUCT)
+        for r in recs:
+            assert isinstance(r["elapsed_ms"], float)
+            assert r["elapsed_ms"] >= 0 and round(r["elapsed_ms"], 3) == r["elapsed_ms"]
+
+    def test_exhaustive_is_copied_from_the_search(self, monkeypatch):
+        real = audits.find_exact_factorizations
+
+        def stopped_early(ctx, target, kind):
+            return dataclasses.replace(real(ctx, target, kind), exhaustive=False)
+
+        monkeypatch.setattr(audits, "find_exact_factorizations", stopped_early)
+        recs = audit_theorems(7, 7, AuditKind.SARKOZY_PRODUCT)
+        # |G| = 1 has the empty target (G - 1) \ {0}, which is never searched
+        assert {(r["subgroup_order"], r["exhaustive"]) for r in recs} == {
+            (1, True), (2, False), (3, False)}
 
     def test_canonical_task_ordering(self):
         recs = audit_theorems(3, 13, AuditKind.SARKOZY_PRODUCT)
@@ -103,6 +123,36 @@ class TestRecordContract:
         monkeypatch.setattr(audits.os, "cpu_count", lambda: None)
         audit_theorems(3, 13, AuditKind.SARKOZY_PRODUCT, workers=10_000)
         assert created == [3]
+
+
+class TestTasks:
+    def test_one_task_per_subgroup(self):
+        tasks = audits._build_tasks(AuditKind.SHIFTED_RATIO, 3, 31, None, False)
+        assert tasks == [("shifted-ratio", p, d, False)
+                         for p in primes_in_range(3, 31) for d in proper_orders(p)]
+        tasks = audits._build_tasks(AuditKind.PALEY_CLIQUE, 3, 31, None, True)
+        assert tasks == [("paley-clique", p, (p - 1) // 2, True) for p in (5, 13, 17, 29)]
+
+    def test_each_task_builds_its_field_and_subgroup_once(self, monkeypatch):
+        fields, subgroups = [], []
+        make_field, subgroup_of_order = audits.make_field, audits.subgroup_of_order
+
+        def counted_field(p):
+            fields.append(p)
+            return make_field(p)
+
+        def counted_subgroup(ctx, order):
+            subgroups.append((ctx.p, order))
+            return subgroup_of_order(ctx, order)
+
+        monkeypatch.setattr(audits, "make_field", counted_field)
+        monkeypatch.setattr(audits, "subgroup_of_order", counted_subgroup)
+        tasks = audits._build_tasks(AuditKind.SHIFTED_RATIO, 3, 31, None, False)
+        assert fields == subgroups == []
+        recs = audit_theorems(3, 31, AuditKind.SHIFTED_RATIO)
+        assert subgroups == [(p, d) for _, p, d, _ in tasks]
+        assert fields == [p for _, p, _, _ in tasks]
+        assert len(recs) > 10 * len(tasks)
 
 
 class TestProductAudit:

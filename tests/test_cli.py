@@ -5,10 +5,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 
 import pytest
 
 from shiftdecomp import cli
+from shiftdecomp.suites import IdentitySuiteResult
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -20,6 +22,10 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
 
 def parse_lines(stdout: str) -> list[dict]:
     return [json.loads(line) for line in stdout.splitlines() if line]
+
+
+def mask_timing(text: str) -> str:
+    return re.sub(r'"elapsed_ms": [-+0-9.eE]+', '"elapsed_ms": _', text)
 
 
 class TestExitCodes:
@@ -133,6 +139,16 @@ class TestRecordStream:
         assert out == ""
         assert parse_lines(path.read_text())
 
+    @pytest.mark.parametrize("argv", [("verify", "sarkozy", "--pmax", "13"),
+                                      ("identities", "fuzz")])
+    def test_out_file_has_the_stdout_bytes(self, tmp_path, argv):
+        path = tmp_path / "records.jsonl"
+        _, stdout, _ = run_cli(*argv)
+        code, out, _ = run_cli(*argv, "--out", str(path))
+        assert code == 0
+        assert out == ""
+        assert mask_timing(path.read_bytes().decode("utf-8")) == mask_timing(stdout)
+
     def test_lambda_scope_partition(self):
         _, in_g, _ = run_cli("verify", "sarkozy", "--pmax", "11")
         _, not_in_g, _ = run_cli("census", "lambda-not-in-g", "--pmax", "11")
@@ -165,6 +181,16 @@ class TestCensus:
 
 
 class TestSuiteCommands:
+    # flagship_tight is part of passed, so the stepanov record leaves it out
+    STEPANOV_KEYS = {"task", "instances", "lam_in_g_instances", "general_equalities",
+                     "shifted_equalities", "anomalies", "additive_checked",
+                     "additive_failures", "flagship_degree", "passed"}
+    IDENTITY_KEYS = {"task", "gf_checked", "newton_checked", "derivative_checked",
+                     "harmonic_checked", "failures", "passed"}
+    UNITY_KEYS = {"task", "claim_orders_checked", "decomposition_orders_checked",
+                  "classified_orders", "claim_failures", "decomposition_witnesses",
+                  "max_quadruple_class", "passed"}
+
     def test_stepanov_audit_summary_line(self):
         code, out, _ = run_cli("stepanov", "audit", "--instances", "40", "--seed", "3")
         assert code == 0
@@ -172,6 +198,9 @@ class TestSuiteCommands:
         assert summary["passed"] is True
         assert summary["instances"] == 40
         assert summary["flagship_degree"] == 6
+        assert set(summary) == self.STEPANOV_KEYS
+        assert summary["task"] == "stepanov-suite"
+        assert summary["anomalies"] == summary["additive_failures"] == 0
 
     def test_identities_fuzz_summary_line(self):
         code, out, _ = run_cli("identities", "fuzz", "--seed", "2")
@@ -179,6 +208,8 @@ class TestSuiteCommands:
         (summary,) = parse_lines(out)
         assert summary["passed"] is True
         assert summary["failures"] == 0
+        assert set(summary) == self.IDENTITY_KEYS
+        assert summary["task"] == "identity-suite"
 
     def test_unity_audit_summary_line(self):
         code, out, _ = run_cli(
@@ -191,3 +222,18 @@ class TestSuiteCommands:
         assert code == 0
         (summary,) = parse_lines(out)
         assert summary["passed"] is True
+        assert set(summary) == self.UNITY_KEYS
+        assert summary["task"] == "unity-suite"
+        assert summary["classified_orders"] == [3, 4]
+        assert summary["claim_failures"] == []
+        assert summary["decomposition_witnesses"] == 0
+
+    def test_failing_suite_prints_its_record_and_exits_two(self, monkeypatch):
+        failing = IdentitySuiteResult(1, 0, 0, 0, failures=(("gf", 11, (1, 2)),))
+        monkeypatch.setattr(cli, "run_identity_suite", lambda seed: failing)
+        code, out, err = run_cli("identities", "fuzz")
+        assert code == 2
+        (summary,) = parse_lines(out)
+        assert summary["passed"] is False
+        assert summary["failures"] == 1
+        assert err == f"VIOLATION: identity suite failed: {failing}\n"

@@ -34,6 +34,7 @@ from .search import (
     find_exact_factorizations,
     find_ratio_representations,
     max_difference_clique,
+    scale_product_report,
 )
 from .sets import ElementSet, TargetVariant, build_target
 
@@ -166,7 +167,10 @@ def _execute_task(task: tuple) -> list[dict]:
     """Run the audit of one subgroup; must stay top-level so worker processes can load it.
 
     Each record times its own target build, search and checks.  The oracle
-    cross-checks products and sums for p <= ORACLE_MAX.
+    cross-checks products and sums for p <= ORACLE_MAX.  The Sarkozy audit
+    searches only lambda = 1, the first target of G, and derives every other
+    lambda in G from it with nodes 0; each record still re-validates its
+    witnesses against its own target, and the oracle enumerates each one.
     """
     kind_value, p, order, oracle = task
     kind = AuditKind(kind_value)
@@ -180,7 +184,11 @@ def _execute_task(task: tuple) -> list[dict]:
     for params, target in _targets(kind, ctx, subgroup):
         witnesses, exhaustive, nodes = [], True, 0
         if target:
-            report = _search(ctx, target, search_kind)
+            if kind is AuditKind.SARKOZY_PRODUCT and params["lambda"] != 1:
+                # G - lambda = lambda * (G - 1): scale the lambda = 1 report
+                report = scale_product_report(ctx, base, params["lambda"])
+            else:
+                report = base = _search(ctx, target, search_kind)
             if cross_check:
                 _cross_check_oracle(ctx, target, search_kind, report)
             witnesses, exhaustive, nodes = (_witnesses(report, target), report.exhaustive,

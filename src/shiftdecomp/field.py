@@ -210,8 +210,12 @@ class MultSubgroup:
         return f"MultSubgroup(p={self.ctx.p}, order={self.order})"
 
 
+@lru_cache(maxsize=256)
 def subgroup_of_order(ctx: FieldContext, d: int) -> MultSubgroup:
-    """Subgroup of order d; d must divide p - 1."""
+    """Subgroup of order d; d must divide p - 1.
+
+    Subgroups are immutable, so repeated calls share one instance per (ctx, d).
+    """
     if d < 1 or (ctx.p - 1) % d != 0:
         raise NotADivisorError(f"{d} does not divide {ctx.p - 1}")
     gen = pow(ctx.primitive_root, (ctx.p - 1) // d, ctx.p)

@@ -250,6 +250,27 @@ def _report(p: int, kind: DecompKind, target: ElementSet,
     )
 
 
+def scale_product_report(ctx: FieldContext, report: SearchReport, c: int) -> SearchReport:
+    """The product report of c*T derived from that of T, with no search (nodes 0).
+
+    A * B = T exactly when (cA) * B = cT, so the canonical witnesses of cT are
+    the canonical forms of the (cA, B).
+    """
+    start = time.perf_counter()
+    p = ctx.p
+    witnesses = sorted({canonical_product_witness(ctx, [c * x % p for x in w.a], w.b)
+                        for w in report.witnesses})
+    return SearchReport(
+        p=p,
+        kind=DecompKind.PRODUCT,
+        target=tuple(sorted(c * x % p for x in report.target)),
+        witnesses=tuple(DecompWitness(p, DecompKind.PRODUCT, *w) for w in witnesses),
+        exhaustive=report.exhaustive,
+        nodes=0,
+        elapsed_ms=(time.perf_counter() - start) * 1000.0,
+    )
+
+
 def factorization_oracle(
     ctx: FieldContext, target: ElementSet, kind: DecompKind, min_size: int = 2
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -9,11 +9,17 @@ import pytest
 
 from shiftdecomp import (
     AuditKind,
+    DecompKind,
+    TargetVariant,
     TheoremViolation,
     audit_theorems,
     audits,
+    build_target,
+    find_exact_factorizations,
+    make_field,
     primes_in_range,
     reproduce_counterexamples,
+    subgroup_of_order,
 )
 from shiftdecomp.field import proper_orders
 
@@ -76,6 +82,25 @@ class TestRecordContract:
         # |G| = 1 has the empty target (G - 1) \ {0}, which is never searched
         assert {(r["subgroup_order"], r["exhaustive"]) for r in recs} == {
             (1, True), (2, False), (3, False)}
+
+    def test_one_product_search_per_subgroup(self, monkeypatch):
+        searched = []
+        real = audits.find_exact_factorizations
+
+        def counted(ctx, target, kind):
+            searched.append((ctx.p, target))
+            return real(ctx, target, kind)
+
+        monkeypatch.setattr(audits, "find_exact_factorizations", counted)
+        recs = audit_theorems(3, 31, AuditKind.SARKOZY_PRODUCT)
+        # |G| = 1 has the empty target (G - 1) \ {0}, which is never searched
+        assert searched == [
+            (p, build_target(subgroup_of_order(make_field(p), d),
+                             TargetVariant.SHIFT_MINUS_LAMBDA, lam=1))
+            for p in primes_in_range(3, 31) for d in proper_orders(p) if d > 1]
+        assert all((r["nodes"] > 0) == (r["params"]["lambda"] == 1 and r["subgroup_order"] > 1)
+                   for r in recs)
+        assert len(recs) > 3 * len(searched)
 
     def test_canonical_task_ordering(self):
         recs = audit_theorems(3, 13, AuditKind.SARKOZY_PRODUCT)
@@ -167,6 +192,26 @@ class TestProductAudit:
             by_order.setdefault(r["subgroup_order"], set()).add(r["params"]["lambda"])
         assert by_order[5] == {1, 3, 4, 5, 9}
         assert by_order[2] == {1, 10}
+
+    def test_derived_records_match_direct_searches(self):
+        # beyond the oracle range, search every lambda in G directly
+        recs = audit_theorems(29, 41, AuditKind.SARKOZY_PRODUCT)
+        base_nodes = {(r["p"], r["subgroup_order"]): r["nodes"]
+                      for r in recs if r["params"]["lambda"] == 1}
+        for r in recs:
+            p, order, lam = r["p"], r["subgroup_order"], r["params"]["lambda"]
+            ctx = make_field(p)
+            target = build_target(subgroup_of_order(ctx, order),
+                                  TargetVariant.SHIFT_MINUS_LAMBDA, lam=lam)
+            if not target:
+                assert (order, r["witnesses"], r["nodes"]) == (1, [], 0)
+                continue
+            report = find_exact_factorizations(ctx, target, DecompKind.PRODUCT)
+            assert r["witnesses"] == [{"A": list(w.a), "B": list(w.b)}
+                                      for w in report.witnesses]
+            assert r["exhaustive"] == report.exhaustive
+            assert report.nodes == base_nodes[p, order]
+        assert len(recs) == sum(sum(proper_orders(p)) for p in primes_in_range(29, 41))
 
 
 class TestCensus:
@@ -286,12 +331,14 @@ class TestSearchWork:
 
     Node counts are deterministic, so they pin the work the cover engine
     does.  A change to its pruning or branching order that moves them must
-    update these figures on purpose and log the old and new totals.
+    update these figures on purpose and log the old and new totals.  The
+    product audit searches lambda = 1 once per subgroup; the other lambda in G
+    are derived and count 0 nodes.
     """
 
     @pytest.mark.parametrize(
         "kind,nodes",
-        [(AuditKind.SARKOZY_PRODUCT, 2270), (AuditKind.KALMYNIN_SUM, 452)],
+        [(AuditKind.SARKOZY_PRODUCT, 240), (AuditKind.KALMYNIN_SUM, 452)],
     )
     def test_summed_nodes(self, kind, nodes):
         recs = audit_theorems(3, 23, kind)

@@ -29,6 +29,7 @@ from shiftdecomp import (
     max_difference_clique,
     subgroup_of_order,
 )
+from shiftdecomp.search import scale_product_report
 
 PRIMES = (5, 7, 11, 13)
 
@@ -484,8 +485,10 @@ class TestSearchSymmetries:
         c = data.draw(st.integers(2, p - 1))
         ctx = make_field(p)
         scaled = ElementSet.from_elements(p, [c * x % p for x in target])
-        base = find_exact_factorizations(ctx, target, DecompKind.PRODUCT).witnesses
+        report = find_exact_factorizations(ctx, target, DecompKind.PRODUCT)
+        base = report.witnesses
         moved = find_exact_factorizations(ctx, scaled, DecompKind.PRODUCT).witnesses
         assert base
         assert [(w.a, w.b) for w in moved] == sorted(
             {canonical_product_witness(ctx, [c * x % p for x in w.a], w.b) for w in base})
+        assert scale_product_report(ctx, report, c).witnesses == moved

@@ -17,7 +17,9 @@ from shiftdecomp import (
     affine_image,
     build_target,
     compose_sets,
+    enumerate_proper_subgroups,
     make_field,
+    primes_in_range,
     representation_counts,
     subgroup_of_order,
 )
@@ -226,11 +228,19 @@ class TestBuildTarget:
         with pytest.raises(ZeroParameterError):
             build_target(g, TargetVariant.XI_SHIFT, xi=1, mu=7)
 
+    def test_shift_by_lambda_in_g_scales_the_shift_by_one(self):
+        # G - lambda = lambda * (G - 1) for lambda in G, the identity that lets
+        # the Sarkozy audit search lambda = 1 alone
+        for p in primes_in_range(3, 61):
+            for g in enumerate_proper_subgroups(make_field(p)):
+                base = build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=1)
+                for lam in g.elements:
+                    scaled = ElementSet.from_elements(p, (lam * x % p for x in base))
+                    assert build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=lam) == scaled
+
     @given(st.sampled_from(PRIMES), st.data())
     def test_shift_variant_never_contains_zero(self, p, data):
         ctx = make_field(p)
-        from shiftdecomp import enumerate_proper_subgroups
-
         g = data.draw(st.sampled_from(enumerate_proper_subgroups(ctx)))
         lam = data.draw(st.integers(min_value=1, max_value=p - 1))
         t = build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=lam)

@@ -10,7 +10,6 @@ classification on the unit circle.
 from .errors import (
     BoundViolationError,
     DegenerateInputError,
-    DegreeOverflowError,
     FactorialOverflowError,
     HypothesisViolatedError,
     InternalMismatchError,
@@ -51,7 +50,6 @@ from .sets import (
 )
 from .poly import DensePoly, root_multiplicity
 from .symfunc import (
-    SymData,
     elementary_from_power_sums,
     elementary_from_roots,
     power_sums,
@@ -73,7 +71,6 @@ from .search import (
     DecompKind,
     DecompWitness,
     SearchReport,
-    canonical_product_pair,
     canonical_product_witness,
     factorization_oracle,
     find_difference_representations,
@@ -115,7 +112,7 @@ __all__ = [
     "ShiftDecompError", "NotPrimeError", "OutOfRangeError", "NotADivisorError",
     "ZeroElementError", "ModulusMismatchError", "ZeroDivisorError",
     "ZeroScaleError", "ZeroParameterError", "ZeroInTargetError",
-    "MissingZeroError", "InternalMismatchError", "DegreeOverflowError",
+    "MissingZeroError", "InternalMismatchError",
     "ZeroPolynomialError", "HypothesisViolatedError", "BoundViolationError",
     "UnexpectedRootError", "FactorialOverflowError", "NonInvertibleIndexError",
     "DegenerateInputError", "TheoremViolation",
@@ -128,7 +125,7 @@ __all__ = [
     # poly
     "DensePoly", "root_multiplicity",
     # symfunc
-    "SymData", "power_sums", "elementary_from_roots",
+    "power_sums", "elementary_from_roots",
     "elementary_from_power_sums", "reconstruct_polynomial_from_power_sums",
     "roots_over_field",
     # stepanov
@@ -136,8 +133,7 @@ __all__ = [
     "build_auxiliary_polynomial", "audit_instance", "check_hp_additive_bound",
     "check_gf_identity", "check_derivative_ratio", "harmonic_sum_identity",
     # search
-    "DecompKind", "DecompWitness", "SearchReport", "canonical_product_pair",
-    "canonical_product_witness",
+    "DecompKind", "DecompWitness", "SearchReport", "canonical_product_witness",
     "find_exact_factorizations", "factorization_oracle",
     "find_ratio_representations", "find_difference_representations",
     "max_difference_clique",

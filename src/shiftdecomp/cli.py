@@ -28,20 +28,14 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
-_VERIFY_KINDS = {
-    "sarkozy": AuditKind.SARKOZY_PRODUCT,
-    "ratio": AuditKind.SHIFTED_RATIO,
-    "levsonn": AuditKind.LEV_SONN_DIFFERENCE,
-    "kalmynin-sum": AuditKind.KALMYNIN_SUM,
-    "clique": AuditKind.PALEY_CLIQUE,
-}
-
-_VERIFY_DEFAULTS = {
-    "sarkozy": (3, 61),
-    "ratio": (3, 31),
-    "levsonn": (3, 61),
-    "kalmynin-sum": (3, 61),
-    "clique": (17, 101),
+# (command, subcommand) -> (audit, default smallest prime, default largest prime)
+_AUDITS = {
+    ("verify", "sarkozy"): (AuditKind.SARKOZY_PRODUCT, 3, 61),
+    ("verify", "ratio"): (AuditKind.SHIFTED_RATIO, 3, 31),
+    ("verify", "levsonn"): (AuditKind.LEV_SONN_DIFFERENCE, 3, 61),
+    ("verify", "kalmynin-sum"): (AuditKind.KALMYNIN_SUM, 3, 61),
+    ("verify", "clique"): (AuditKind.PALEY_CLIQUE, 17, 101),
+    ("census", "lambda-not-in-g"): (AuditKind.LAMBDA_CENSUS, 3, 19),
 }
 
 
@@ -76,20 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    verify = commands.add_parser("verify", help="run a theorem audit with assertions")
-    verify_sub = verify.add_subparsers(dest="which", required=True)
-    for name, (p_min, p_max) in _VERIFY_DEFAULTS.items():
-        sub = verify_sub.add_parser(name)
-        _add_range_flags(sub, p_min, p_max)
-        if name == "sarkozy":
-            sub.add_argument("--lambda-scope", dest="lambda_scope",
-                             choices=("in-g", "not-in-g", "all"), default="in-g",
-                             help="which shifts to audit (default in-g)")
-
-    census = commands.add_parser("census", help="report findings without assertions")
-    census_sub = census.add_subparsers(dest="which", required=True)
-    census_cmd = census_sub.add_parser("lambda-not-in-g")
-    _add_range_flags(census_cmd, 3, 19)
+    audit_subs = {}
+    for command, text in (("verify", "run a theorem audit with assertions"),
+                          ("census", "report findings without assertions")):
+        audit_subs[command] = commands.add_parser(command, help=text).add_subparsers(
+            dest="which", required=True)
+    for (command, which), (_, p_min, p_max) in _AUDITS.items():
+        _add_range_flags(audit_subs[command].add_parser(which), p_min, p_max)
 
     reproduce = commands.add_parser("reproduce", help="re-derive the known witnesses")
     reproduce_sub = reproduce.add_subparsers(dest="which", required=True)
@@ -120,12 +107,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(records, out_path: str | None) -> None:
+def _emit(records, handle) -> None:
     """Write each record as one sorted-key JSON line as soon as it is serialized."""
-    sink = nullcontext(sys.stdout) if out_path is None else open(out_path, "w", encoding="utf-8")
-    with sink as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    for record in records:
+        handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _violation(exc: Exception) -> int:
@@ -135,55 +120,43 @@ def _violation(exc: Exception) -> int:
     return EXIT_VIOLATION
 
 
-def _run_audit(args, kind: AuditKind) -> int:
-    if args.pmax > MAX_PRIME:
-        print(f"error: --pmax must be at most {MAX_PRIME}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.pmin > args.pmax or not primes_in_range(args.pmin, args.pmax):
-        print(f"error: no odd primes in [{args.pmin}, {args.pmax}]", file=sys.stderr)
-        return EXIT_USAGE
-    if args.workers < 1:
-        print("error: --workers must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    kinds = [kind]
-    if kind is AuditKind.SARKOZY_PRODUCT:
-        scope = getattr(args, "lambda_scope", "in-g")
-        if scope == "not-in-g":
-            kinds = [AuditKind.LAMBDA_CENSUS]
-        elif scope == "all":
-            kinds = [AuditKind.SARKOZY_PRODUCT, AuditKind.LAMBDA_CENSUS]
-    records = []
-    violations = []
-    for k in kinds:
-        try:
-            records.extend(
-                audit_theorems(
-                    args.pmin,
-                    args.pmax,
-                    k,
-                    orders=args.orders,
-                    oracle=args.oracle == "on",
-                    workers=args.workers,
-                )
-            )
-        except TheoremViolation as exc:
-            records.extend(exc.records)
-            violations.append(exc)
+def _usage_error(args) -> str | None:
+    """Why the parsed arguments cannot run, or None when they can."""
+    if (args.command, args.which) in _AUDITS:
+        if args.pmax > MAX_PRIME:
+            return f"--pmax must be at most {MAX_PRIME}"
+        if args.pmin > args.pmax or not primes_in_range(args.pmin, args.pmax):
+            return f"no odd primes in [{args.pmin}, {args.pmax}]"
+        if args.workers < 1:
+            return "--workers must be positive"
+    elif args.command == "stepanov" and args.instances < 1:
+        return "--instances must be positive"
+    elif args.command == "unity" and (args.mmax_claim < 3 or args.mmax_pairs < 3
+                                      or not 3 <= args.mmax_maps <= 12):
+        return "unity bounds need mmax >= 3 (maps <= 12)"
+    return None
+
+
+def _run_audit(args, kind: AuditKind, out) -> int:
+    violation = None
+    try:
+        records = audit_theorems(args.pmin, args.pmax, kind, orders=args.orders,
+                                 oracle=args.oracle == "on", workers=args.workers)
+    except TheoremViolation as exc:
+        records, violation = exc.records, exc
     if not records:
         print("error: no audit tasks for the selected primes and --orders", file=sys.stderr)
         return EXIT_USAGE
-    _emit(records, args.out)
-    for exc in violations:
-        _violation(exc)
-    return EXIT_VIOLATION if violations else EXIT_OK
+    _emit(records, out)
+    return EXIT_OK if violation is None else _violation(violation)
 
 
-def _run_reproduce(args) -> int:
+def _run_reproduce(out) -> int:
     try:
         records = reproduce_counterexamples()
     except TheoremViolation as exc:
         return _violation(exc)
-    _emit(records, args.out)
+    _emit(records, out)
     return EXIT_OK
 
 
@@ -203,19 +176,13 @@ def _summary(task: str, result) -> dict:
     return summary
 
 
-def _run_suite(args) -> int:
+def _run_suite(args, out) -> int:
     if args.command == "stepanov":
-        if args.instances < 1:
-            print("error: --instances must be positive", file=sys.stderr)
-            return EXIT_USAGE
         name, run = "stepanov", partial(run_stepanov_suite, instances=args.instances,
                                         seed=args.seed)
     elif args.command == "identities":
         name, run = "identity", partial(run_identity_suite, seed=args.seed)
     else:
-        if args.mmax_claim < 3 or args.mmax_pairs < 3 or not 3 <= args.mmax_maps <= 12:
-            print("error: unity bounds need mmax >= 3 (maps <= 12)", file=sys.stderr)
-            return EXIT_USAGE
         name, run = "unity", partial(run_unity_suite, claim_max=args.mmax_claim,
                                      decomposition_max=args.mmax_pairs,
                                      classify_max=args.mmax_maps)
@@ -223,7 +190,7 @@ def _run_suite(args) -> int:
         result = run()
     except (BoundViolationError, TheoremViolation) as exc:
         return _violation(exc)
-    _emit([_summary(f"{name}-suite", result)], args.out)
+    _emit([_summary(f"{name}-suite", result)], out)
     if not result.passed:
         print(f"VIOLATION: {name} suite failed: {result}", file=sys.stderr)
         return EXIT_VIOLATION
@@ -237,13 +204,24 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
 
-    if args.command == "verify":
-        return _run_audit(args, _VERIFY_KINDS[args.which])
-    if args.command == "census":
-        return _run_audit(args, AuditKind.LAMBDA_CENSUS)
-    if args.command == "reproduce":
-        return _run_reproduce(args)
-    return _run_suite(args)
+    error = _usage_error(args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_USAGE
+    # open the sink before any work, so an unwritable --out costs nothing
+    try:
+        sink = nullcontext(sys.stdout) if args.out is None else open(args.out, "w",
+                                                                     encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
+    with sink as out:
+        audit = _AUDITS.get((args.command, args.which))
+        if audit is not None:
+            return _run_audit(args, audit[0], out)
+        if args.command == "reproduce":
+            return _run_reproduce(out)
+        return _run_suite(args, out)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -49,10 +49,6 @@ class InternalMismatchError(ShiftDecompError):
     """Two independent computations of the same value disagree."""
 
 
-class DegreeOverflowError(ShiftDecompError):
-    """Polynomial degree reaches the modulus with the Lucas fallback disabled."""
-
-
 class ZeroPolynomialError(ShiftDecompError):
     """Operation undefined for the zero polynomial."""
 

@@ -110,24 +110,6 @@ class FieldContext:
         self.power_table = tuple(powers)
         self.dlog_table = tuple(dlog)
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisorError("0 has no multiplicative inverse")
-        return self.inv_table[a]
-
     def element_order(self, a: int) -> int:
         """Multiplicative order of a nonzero residue."""
         a %= self.p

@@ -16,7 +16,6 @@ G union {0}.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -34,8 +33,8 @@ class DecompKind(Enum):
     DIFF_REP = "diff-rep"
 
 
-_PAIR_OPS = {DecompKind.PRODUCT: SetOp.PRODUCT, DecompKind.SUM: SetOp.SUM}
-_REP_OPS = {DecompKind.RATIO_REP: SetOp.RATIO, DecompKind.DIFF_REP: SetOp.DIFFERENCE}
+_SET_OPS = {DecompKind.PRODUCT: SetOp.PRODUCT, DecompKind.SUM: SetOp.SUM,
+            DecompKind.RATIO_REP: SetOp.RATIO, DecompKind.DIFF_REP: SetOp.DIFFERENCE}
 
 
 @dataclass(frozen=True)
@@ -48,23 +47,19 @@ class DecompWitness:
     b: tuple[int, ...] | None = None
 
     def verify(self, target: ElementSet) -> bool:
-        """Recompute the composition from scratch and compare with the target."""
+        """Recompute A op B, or A op A for a single set, and compare with the target."""
         first = ElementSet.from_elements(self.p, self.a)
-        if self.kind in _PAIR_OPS:
-            second = ElementSet.from_elements(self.p, self.b or ())
-            return compose_sets(first, second, _PAIR_OPS[self.kind]) == target
-        return compose_sets(first, first, _REP_OPS[self.kind]) == target
+        second = first if self.b is None else ElementSet.from_elements(self.p, self.b)
+        return compose_sets(first, second, _SET_OPS[self.kind]) == target
 
 
 @dataclass(frozen=True)
 class SearchReport:
-    p: int
-    kind: DecompKind
-    target: tuple[int, ...]
+    """Every canonical witness of one search, whether it ran to completion, its node count."""
+
     witnesses: tuple[DecompWitness, ...]
     exhaustive: bool
     nodes: int
-    elapsed_ms: float
 
 
 def _rotate(mask: int, shift: int, modulus: int, full: int) -> int:
@@ -83,46 +78,26 @@ def _mask_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def canonical_product_pair(
-    ctx: FieldContext, a_elems: Iterable[int], b_elems: Iterable[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Scaling-normal form of a product pair: 1 in B, lexicographically least.
-
-    Every solution (A, B) is equivalent to (cA, c^-1 B) for nonzero c; choosing
-    c in B puts 1 into the rescaled B, and the least resulting (A, B) tuple
-    pair is the canonical representative.
-    """
-    p = ctx.p
-    a = tuple(x % p for x in a_elems)
-    b = tuple(x % p for x in b_elems)
-    best = None
-    for c in b:
-        ci = ctx.inv_table[c]
-        pair = (
-            tuple(sorted(x * c % p for x in a)),
-            tuple(sorted(x * ci % p for x in b)),
-        )
-        if best is None or pair < best:
-            best = pair
-    if best is None:
-        raise ValueError("cannot normalize an empty factor")
-    return best
-
-
 def canonical_product_witness(
     ctx: FieldContext, a_elems: Iterable[int], b_elems: Iterable[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Normal form of an unordered factorization {A, B}.
 
-    Products commute, so (A, B) and (B, A) are the same factorization; the
-    witness form is the lexicographically smaller of the two scaling-normal
-    orderings.
+    Every solution (A, B) is equivalent to (cA, c^-1 B) for nonzero c, and
+    products commute, so (A, B) and (B, A) are the same factorization.  For
+    each ordering, each c^-1 in the second factor puts 1 into it; the witness
+    form is the lexicographically least of these rescaled pairs.
     """
-    a = tuple(a_elems)
-    b = tuple(b_elems)
+    p = ctx.p
+    a = tuple(x % p for x in a_elems)
+    b = tuple(x % p for x in b_elems)
+    if not a or not b:
+        raise ValueError("cannot normalize an empty factor")
+    inv = ctx.inv_table
     return min(
-        canonical_product_pair(ctx, a, b),
-        canonical_product_pair(ctx, b, a),
+        (tuple(sorted(x * c % p for x in first)), tuple(sorted(x * inv[c] % p for x in second)))
+        for first, second in ((a, b), (b, a))
+        for c in second
     )
 
 
@@ -221,9 +196,7 @@ def find_exact_factorizations(
     ctx: FieldContext, target: ElementSet, kind: DecompKind, min_size: int = 2
 ) -> SearchReport:
     """Complete canonical list of (A, B) with A op B = target and |A|,|B| >= min_size."""
-    start = time.perf_counter()
-    size = len(target)
-    if size == 0:
+    if not target:
         raise ValueError("factorization search needs a nonempty target")
     if kind is DecompKind.PRODUCT:
         if 0 in target:
@@ -233,21 +206,12 @@ def find_exact_factorizations(
         pairs, nodes = _sum_search(ctx, target, min_size)
     else:
         raise ValueError(f"unsupported factorization kind: {kind!r}")
-    return _report(ctx.p, kind, target, pairs, nodes, start)
+    return _report(ctx.p, kind, pairs, nodes)
 
 
-def _report(p: int, kind: DecompKind, target: ElementSet,
-            witnesses: list[tuple], nodes: int, start: float) -> SearchReport:
-    """SearchReport for sorted (A,) or (A, B) witness tuples found since ``start``."""
-    return SearchReport(
-        p=p,
-        kind=kind,
-        target=target.elements(),
-        witnesses=tuple(DecompWitness(p, kind, *w) for w in witnesses),
-        exhaustive=True,
-        nodes=nodes,
-        elapsed_ms=(time.perf_counter() - start) * 1000.0,
-    )
+def _report(p: int, kind: DecompKind, witnesses: list[tuple], nodes: int) -> SearchReport:
+    """SearchReport for sorted (A,) or (A, B) witness tuples of a completed search."""
+    return SearchReport(tuple(DecompWitness(p, kind, *w) for w in witnesses), True, nodes)
 
 
 def scale_product_report(ctx: FieldContext, report: SearchReport, c: int) -> SearchReport:
@@ -256,19 +220,11 @@ def scale_product_report(ctx: FieldContext, report: SearchReport, c: int) -> Sea
     A * B = T exactly when (cA) * B = cT, so the canonical witnesses of cT are
     the canonical forms of the (cA, B).
     """
-    start = time.perf_counter()
     p = ctx.p
     witnesses = sorted({canonical_product_witness(ctx, [c * x % p for x in w.a], w.b)
                         for w in report.witnesses})
-    return SearchReport(
-        p=p,
-        kind=DecompKind.PRODUCT,
-        target=tuple(sorted(c * x % p for x in report.target)),
-        witnesses=tuple(DecompWitness(p, DecompKind.PRODUCT, *w) for w in witnesses),
-        exhaustive=report.exhaustive,
-        nodes=0,
-        elapsed_ms=(time.perf_counter() - start) * 1000.0,
-    )
+    return SearchReport(tuple(DecompWitness(p, DecompKind.PRODUCT, *w) for w in witnesses),
+                        report.exhaustive, 0)
 
 
 def factorization_oracle(
@@ -406,7 +362,6 @@ def _difference_representations(n: int, tmask: int) -> tuple[list[tuple[int, ...
 
 def find_ratio_representations(ctx: FieldContext, target: ElementSet) -> SearchReport:
     """All maximal A (1 in A) with A/A = target; the difference search on discrete logs."""
-    start = time.perf_counter()
     if 0 in target:
         raise ZeroInTargetError("ratio representation target must avoid 0")
     witnesses: list[tuple[int, ...]] = []
@@ -414,17 +369,15 @@ def find_ratio_representations(ctx: FieldContext, target: ElementSet) -> SearchR
     if 1 in target:
         logs, nodes = _difference_representations(ctx.p - 1, _log_mask(ctx, target))
         witnesses = sorted(tuple(sorted(ctx.power_table[e] for e in w)) for w in logs)
-    return _report(ctx.p, DecompKind.RATIO_REP, target, [(w,) for w in witnesses], nodes, start)
+    return _report(ctx.p, DecompKind.RATIO_REP, [(w,) for w in witnesses], nodes)
 
 
 def find_difference_representations(ctx: FieldContext, target: ElementSet) -> SearchReport:
     """All maximal A (0 in A) with A-A = target; complete via clique enumeration."""
-    start = time.perf_counter()
     if 0 not in target:
         raise MissingZeroError("difference representation target must contain 0")
     witnesses, nodes = _difference_representations(ctx.p, target.mask)
-    return _report(ctx.p, DecompKind.DIFF_REP, target,
-                   [(w,) for w in sorted(witnesses)], nodes, start)
+    return _report(ctx.p, DecompKind.DIFF_REP, [(w,) for w in sorted(witnesses)], nodes)
 
 
 def max_difference_clique(ctx: FieldContext, subgroup: MultSubgroup) -> int:

@@ -19,7 +19,6 @@ from .errors import (
     UnexpectedRootError,
     ZeroElementError,
     ZeroParameterError,
-    DegreeOverflowError,
 )
 from .field import FieldContext, MultSubgroup
 from .poly import DensePoly, root_multiplicity
@@ -119,8 +118,6 @@ def build_auxiliary_polynomial(
     a_set: ElementSet,
     lam: int,
     g_order: int,
-    *,
-    lucas_fallback: bool = True,
 ) -> DensePoly:
     """f(x) = -lam^(n-1) + sum c_i (a_i x + lam)^(n-1+g_order), expanded exactly.
 
@@ -139,8 +136,6 @@ def build_auxiliary_polynomial(
     c = sol.coefficients
     n = len(a)
     cap = n - 1 + g_order
-    if cap >= p and not lucas_fallback:
-        raise DegreeOverflowError(f"degree {cap} reaches the modulus {p}")
 
     moments = []
     powers = [ci % p for ci in c]

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InternalMismatchError, NonInvertibleIndexError, ZeroPolynomialError
+from .errors import NonInvertibleIndexError, ZeroPolynomialError
 from .field import FieldContext
 from .poly import DensePoly, root_multiplicity
 
@@ -50,15 +49,6 @@ def elementary_from_power_sums(ctx: FieldContext, psums: Sequence[int]) -> tuple
     return tuple(e[1:])
 
 
-def _newton_relation_holds(p: int, esyms: Sequence[int], psums: Sequence[int], k: int) -> bool:
-    # k*e_k == sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i, checked without division
-    acc = 0
-    for i in range(1, k + 1):
-        term = esyms[k - i] * psums[i - 1] % p
-        acc = acc + term if i % 2 == 1 else acc - term
-    return (k * esyms[k] - acc) % p == 0
-
-
 def reconstruct_polynomial_from_power_sums(ctx: FieldContext, psums: Sequence[int]) -> DensePoly:
     """Monic polynomial of degree K whose root multiset realizes the power sums."""
     es = elementary_from_power_sums(ctx, psums)
@@ -82,30 +72,3 @@ def roots_over_field(ctx: FieldContext, f: DensePoly) -> tuple[int, ...]:
             roots.extend([x] * root_multiplicity(f, x))
     return tuple(roots)
 
-
-@dataclass(frozen=True)
-class SymData:
-    """A residue multiset with cached power sums and elementary symmetric functions."""
-
-    p: int
-    elements: tuple[int, ...]
-    power_sums: tuple[int, ...]
-    elementary: tuple[int, ...]  # e_0..e_K
-
-    @classmethod
-    def from_elements(
-        cls, ctx: FieldContext, elements: Iterable[int], count: int | None = None
-    ) -> "SymData":
-        xs = tuple(sorted(x % ctx.p for x in elements))
-        K = len(xs) if count is None else count
-        ps = power_sums(ctx, xs, K)
-        es = list(elementary_from_roots(ctx, xs))
-        # e_k vanishes above the multiset size
-        es.extend([0] * (K + 1 - len(es)))
-        es = tuple(es[: K + 1])
-        for k in range(1, K + 1):
-            if not _newton_relation_holds(ctx.p, es, ps, k):
-                raise InternalMismatchError(
-                    f"Newton relation failed at k={k} for elements {xs}"
-                )
-        return cls(ctx.p, xs, ps, es)

@@ -274,16 +274,11 @@ def classify_circle_preserving_maps(m: int) -> DihedralReport:
     g = group.elements
     samples = [cmath.rect(1.0, 2.0 * math.pi * (t + 0.5) / (4 * m)) for t in range(4 * m)]
 
-    fwd = _triple_to_standard(g[0], g[1], g[2])
-
     found: set[tuple[str, int]] = set()
     fits = 0
     for triple in permutations(g, 3):
         fits += 1
-        psi = _triple_to_standard(*triple).inverse().compose(fwd)
-        if abs(psi.determinant) <= _DET_TOL:
-            continue
-
+        psi = mobius_fit(g[:3], triple)
         image = []
         bijective = True
         for z in g:

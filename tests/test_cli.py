@@ -149,15 +149,21 @@ class TestRecordStream:
         assert out == ""
         assert mask_timing(path.read_bytes().decode("utf-8")) == mask_timing(stdout)
 
-    def test_lambda_scope_partition(self):
-        _, in_g, _ = run_cli("verify", "sarkozy", "--pmax", "11")
-        _, not_in_g, _ = run_cli("census", "lambda-not-in-g", "--pmax", "11")
-        _, both, _ = run_cli(
-            "verify", "sarkozy", "--pmax", "11", "--lambda-scope", "all"
-        )
-        assert len(parse_lines(both)) == len(parse_lines(in_g)) + len(
-            parse_lines(not_in_g)
-        )
+    @pytest.mark.parametrize("argv", [("verify", "sarkozy", "--pmax", "7"),
+                                      ("reproduce", "counterexamples"),
+                                      ("identities", "fuzz")])
+    def test_unwritable_out_fails_before_any_work(self, tmp_path, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was opened")
+
+        for name in ("audit_theorems", "reproduce_counterexamples", "run_identity_suite"):
+            monkeypatch.setattr(cli, name, no_work)
+        path = tmp_path / "missing" / "records.jsonl"
+        code, out, err = run_cli(*argv, "--out", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
 
 
 class TestReproduce:

@@ -63,13 +63,6 @@ class TestMakeField:
         ctx = make_field(p)
         for x in range(1, p):
             assert x * ctx.inv_table[x] % p == 1
-            assert ctx.inv(x) == ctx.inv_table[x]
-
-    def test_inverse_of_zero(self, f7):
-        with pytest.raises(ZeroDivisorError):
-            f7.inv(0)
-        with pytest.raises(ZeroDivisorError):
-            f7.inv(7)  # reduces to 0
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_factorial_tables(self, p):
@@ -77,13 +70,6 @@ class TestMakeField:
         for k in range(p):
             assert ctx.factorial[k] == math.factorial(k) % p
             assert ctx.factorial[k] * ctx.inv_factorial[k] % p == 1
-
-    def test_ring_operations(self, f13):
-        assert f13.add(9, 9) == 5
-        assert f13.sub(2, 5) == 10
-        assert f13.mul(7, 8) == 4
-        assert f13.neg(3) == 10
-        assert f13.neg(0) == 0
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_primitive_root_generates(self, p):

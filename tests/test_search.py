@@ -17,7 +17,6 @@ from shiftdecomp import (
     TargetVariant,
     ZeroInTargetError,
     build_target,
-    canonical_product_pair,
     canonical_product_witness,
     compose_sets,
     enumerate_proper_subgroups,
@@ -36,7 +35,6 @@ PRIMES = (5, 7, 11, 13)
 
 class TestCanonicalForms:
     def test_known_pair(self, f11):
-        assert canonical_product_pair(f11, (1, 7), (1, 2, 3)) == ((1, 7), (1, 2, 3))
         assert canonical_product_witness(f11, (1, 7), (1, 2, 3)) == (
             (1, 2, 3),
             (1, 7),
@@ -45,23 +43,6 @@ class TestCanonicalForms:
     def test_witness_is_swap_invariant(self, f11):
         assert canonical_product_witness(f11, (1, 7), (1, 2, 3)) == (
             canonical_product_witness(f11, (1, 2, 3), (1, 7))
-        )
-
-    @given(st.sampled_from(PRIMES), st.data())
-    def test_pair_is_scaling_invariant(self, p, data):
-        ctx = make_field(p)
-        a = data.draw(
-            st.sets(st.integers(min_value=1, max_value=p - 1), min_size=1, max_size=4)
-        )
-        b = data.draw(
-            st.sets(st.integers(min_value=1, max_value=p - 1), min_size=1, max_size=4)
-        )
-        c = data.draw(st.integers(min_value=1, max_value=p - 1))
-        c_inv = pow(c, p - 2, p)
-        scaled_a = [c * x % p for x in a]
-        scaled_b = [c_inv * x % p for x in b]
-        assert canonical_product_pair(ctx, scaled_a, scaled_b) == canonical_product_pair(
-            ctx, a, b
         )
 
     @given(st.sampled_from(PRIMES), st.data())
@@ -125,11 +106,9 @@ class TestProductSearch:
         g = subgroup_of_order(f11, 5)
         target = build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=2)
         report = find_exact_factorizations(f11, target, DecompKind.PRODUCT)
-        assert report.p == 11
-        assert report.kind is DecompKind.PRODUCT
-        assert report.target == target.elements()
+        assert [w.kind for w in report.witnesses] == [DecompKind.PRODUCT]
+        assert report.exhaustive
         assert report.nodes > 0
-        assert report.elapsed_ms >= 0
 
 
 class TestSumSearch:
@@ -340,6 +319,23 @@ class TestDifferenceClique:
                 break
         assert max_difference_clique(ctx, g) == best
 
+    @pytest.mark.parametrize("p", [p for p in range(17, 102, 4)
+                                   if all(p % d for d in range(2, p))])
+    def test_paley_clique_matches_plain_extension_of_an_edge(self, p):
+        # x -> a*x + b with a square acts transitively on the edges of the
+        # Paley graph, so some maximum clique holds the edge {0, 1}; extend it
+        # over their common neighbourhood without pruning
+        squares = {x * x % p for x in range(1, p)}
+
+        def largest(candidates: list[int]) -> int:
+            return max((1 + largest([y for y in candidates[i + 1:] if (y - x) % p in squares])
+                        for i, x in enumerate(candidates)), default=0)
+
+        k = 2 + largest([x for x in range(2, p) if x in squares and x - 1 in squares])
+        ctx = make_field(p)
+        assert max_difference_clique(ctx, subgroup_of_order(ctx, (p - 1) // 2)) == k
+        assert 2 * k * (k - 1) <= p - 1  # Hanson-Petridis
+
 
 ORACLE_PRIMES = (3, 5, 7, 11)
 
@@ -478,6 +474,20 @@ class TestSearchSymmetries:
         for a, b in found:
             for u in range(1, p):
                 assert _sum_pair([(x + u) % p for x in a], [(y - u) % p for y in b]) in found
+
+    @pytest.mark.parametrize("p", [p for p in range(17, 42) if all(p % d for d in range(2, p))])
+    def test_sum_witnesses_of_g_are_closed_under_affine_maps(self, p):
+        # G is invariant under multiplication by G, so A + B = G is too:
+        # (A, B) solves exactly when (gA + t, gB - t) does
+        ctx = make_field(p)
+        for g in enumerate_proper_subgroups(ctx):
+            report = find_exact_factorizations(ctx, g.elements, DecompKind.SUM)
+            found = {(w.a, w.b) for w in report.witnesses}
+            for a, b in found:
+                for u in g.elements:
+                    for t in range(p):
+                        assert _sum_pair([(u * x + t) % p for x in a],
+                                         [(u * y - t) % p for y in b]) in found
 
     @given(_composed_targets(SetOp.PRODUCT), st.data())
     def test_product_witnesses_follow_scaling(self, case, data):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from shiftdecomp import (
     BoundViolationError,
-    DegreeOverflowError,
     DensePoly,
     ElementSet,
     FactorialOverflowError,
@@ -89,12 +88,6 @@ class TestBuildAuxiliaryPolynomial:
     def test_rejects_zero_shift(self, f7):
         with pytest.raises(ZeroParameterError):
             build_auxiliary_polynomial(f7, ElementSet.from_elements(7, [1]), 0, 3)
-
-    def test_rejects_degree_overflow_without_fallback(self, f7):
-        with pytest.raises(DegreeOverflowError):
-            build_auxiliary_polynomial(
-                f7, ElementSet.from_elements(7, [1, 2]), 3, 6, lucas_fallback=False
-            )
 
     def test_frobenius_collapse_with_fallback(self, f7):
         # degree cap 7 = p: (u + v)^7 = u^7 + v^7 over F_7 collapses the whole

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from shiftdecomp import (
     DensePoly,
     NonInvertibleIndexError,
-    SymData,
     elementary_from_power_sums,
     elementary_from_roots,
     make_field,
@@ -122,14 +121,8 @@ class TestRootsOverField:
         assert roots_over_field(ctx, f) == tuple(sorted(roots))
 
 
-class TestSymData:
-    def test_bundle_consistency(self, f13):
+class TestKnownValues:
+    def test_power_sums_and_elementary_mod_13(self, f13):
         elements = (2, 5, 6)
-        data = SymData(
-            p=13,
-            elements=elements,
-            power_sums=power_sums(f13, elements, 3),
-            elementary=elementary_from_roots(f13, elements),
-        )
-        assert data.power_sums == (0, 0, 11)
-        assert data.elementary == (1, 0, 0, 8)
+        assert power_sums(f13, elements, 3) == (0, 0, 11)
+        assert elementary_from_roots(f13, elements) == (1, 0, 0, 8)

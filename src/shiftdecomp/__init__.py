@@ -58,7 +58,6 @@ from .symfunc import (
 )
 from .stepanov import (
     AuxAudit,
-    CoeffSolution,
     audit_instance,
     build_auxiliary_polynomial,
     check_derivative_ratio,
@@ -80,7 +79,6 @@ from .search import (
 )
 from .unity import (
     INF,
-    DihedralReport,
     MobiusMap,
     ProductClaimVerdict,
     UnityGroup,
@@ -129,7 +127,7 @@ __all__ = [
     "elementary_from_power_sums", "reconstruct_polynomial_from_power_sums",
     "roots_over_field",
     # stepanov
-    "CoeffSolution", "AuxAudit", "solve_coefficients",
+    "AuxAudit", "solve_coefficients",
     "build_auxiliary_polynomial", "audit_instance", "check_hp_additive_bound",
     "check_gf_identity", "check_derivative_ratio", "harmonic_sum_identity",
     # search
@@ -138,7 +136,7 @@ __all__ = [
     "find_ratio_representations", "find_difference_representations",
     "max_difference_clique",
     # unity
-    "INF", "UnityGroup", "MobiusMap", "ProductClaimVerdict", "DihedralReport",
+    "INF", "UnityGroup", "MobiusMap", "ProductClaimVerdict",
     "mobius_fit", "check_xk_product_claim", "classify_circle_preserving_maps",
     "search_2x2_decomposition",
     # audits

@@ -25,7 +25,6 @@ from .poly import DensePoly, root_multiplicity
 from .sets import ElementSet
 
 __all__ = [
-    "CoeffSolution",
     "AuxAudit",
     "solve_coefficients",
     "build_auxiliary_polynomial",
@@ -38,19 +37,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoeffSolution:
-    """Solution of the moment system for a set of distinct nonzero nodes.
-
-    Invariants: sum(c_i) = 1 and sum(c_i a_i^j) = 0 for 1 <= j <= n-1.
-    """
-
-    p: int
-    a_elements: tuple[int, ...]
-    coefficients: tuple[int, ...]
-
-    def moment(self, k: int) -> int:
-        return sum(c * pow(a, k, self.p) for c, a in zip(self.coefficients, self.a_elements)) % self.p
+def _moments(p: int, a, c, count: int) -> list[int]:
+    """The moments M_k = sum c_i a_i^k mod p for 0 <= k < count."""
+    moments = []
+    powers = [ci % p for ci in c]
+    for _ in range(count):
+        moments.append(sum(powers) % p)
+        powers = [v * ai % p for v, ai in zip(powers, a)]
+    return moments
 
 
 def _solve_linear_system(p: int, matrix: list[list[int]], rhs: list[int]) -> list[int]:
@@ -71,12 +65,15 @@ def _solve_linear_system(p: int, matrix: list[list[int]], rhs: list[int]) -> lis
     return [rows[i][n] for i in range(n)]
 
 
-def solve_coefficients(ctx: FieldContext, a_set: ElementSet) -> CoeffSolution:
-    """Coefficients c_i computed two independent ways and cross-checked.
+def solve_coefficients(ctx: FieldContext, a_set: ElementSet) -> tuple[int, ...]:
+    """Coefficients c_i, in the order of a_set.elements(), computed two
+    independent ways and cross-checked.
 
     Route one solves the transposed Vandermonde system by Gaussian
     elimination; route two is the closed form
-    c_i = (-1)^(n-1) (prod a_t) / (a_i prod_{j != i} (a_i - a_j)).
+    c_i = (-1)^(n-1) (prod a_t) / (a_i prod_{j != i} (a_i - a_j)).  The
+    moment invariants sum(c_i) = 1 and sum(c_i a_i^j) = 0 for 1 <= j <= n-1
+    are asserted.
     """
     p = ctx.p
     a = a_set.elements()
@@ -107,10 +104,9 @@ def solve_coefficients(ctx: FieldContext, a_set: ElementSet) -> CoeffSolution:
             f"coefficient routes disagree for nodes {a}: {from_solver} vs {closed}"
         )
 
-    solution = CoeffSolution(p, a, tuple(closed))
-    if solution.moment(0) != 1 or any(solution.moment(j) != 0 for j in range(1, n)):
+    if _moments(p, a, closed, n) != rhs:
         raise InternalMismatchError(f"moment invariants fail for nodes {a}")
-    return solution
+    return tuple(closed)
 
 
 def build_auxiliary_polynomial(
@@ -131,17 +127,11 @@ def build_auxiliary_polynomial(
         raise ZeroParameterError("shift parameter must be nonzero")
     if g_order < 1:
         raise ValueError("subgroup order must be positive")
-    sol = solve_coefficients(ctx, a_set)
-    a = sol.a_elements
-    c = sol.coefficients
+    a = a_set.elements()
+    c = solve_coefficients(ctx, a_set)
     n = len(a)
     cap = n - 1 + g_order
-
-    moments = []
-    powers = [ci % p for ci in c]
-    for _ in range(cap + 1):
-        moments.append(sum(powers) % p)
-        powers = [v * ai % p for v, ai in zip(powers, a)]
+    moments = _moments(p, a, c, cap + 1)
 
     lam_pows = [1] * (cap + 1)
     for k in range(1, cap + 1):
@@ -159,29 +149,32 @@ def build_auxiliary_polynomial(
 
 @dataclass(frozen=True)
 class AuxAudit:
-    """Measured structure of one auxiliary-polynomial instance."""
+    """Measured structure of one auxiliary-polynomial instance.
 
-    p: int
-    a_elements: tuple[int, ...]
-    b_elements: tuple[int, ...]
-    lam: int
-    g_order: int
+    A vanishing f has no multiplicities and no equality case; any other f has
+    passed every check of audit_instance.
+    """
+
     lam_in_g: bool
-    r: int
     r_elements: tuple[int, ...]
     f: DensePoly
-    degree: int
     degree_cap: int
     multiplicities: tuple[tuple[int, int], ...]
     zero_multiplicity: int | None
-    leading_constant: int | None
-    degree_window_ok: bool
-    product_bound_ok: bool
-    strict_bound_ok: bool | None
     general_equality: bool
     shifted_equality: bool
-    factorization_verified: bool | None
-    nonzero: bool
+
+    @property
+    def r(self) -> int:
+        return len(self.r_elements)
+
+    @property
+    def degree(self) -> int:
+        return self.f.degree
+
+    @property
+    def nonzero(self) -> bool:
+        return not self.f.is_zero()
 
 
 def audit_instance(
@@ -226,95 +219,72 @@ def audit_instance(
     neg_lam = (p - lam) % p
     r_elements = tuple(sorted({neg_lam * ctx.inv_table[ai] % p for ai in a} & set(b)))
     r = len(r_elements)
+    r_set = set(r_elements)
 
     f = build_auxiliary_polynomial(ctx, a_set, lam, g_order)
     cap = n - 1 + g_order
-    # the x^cap coefficient is binom(cap, cap) lam^0 M_cap = M_cap = sum c_i a_i^cap
-    c_leading = f.coefficient(cap)
-
-    if f.is_zero():
-        return AuxAudit(
-            p=p, a_elements=a, b_elements=b, lam=lam, g_order=g_order,
-            lam_in_g=lam_in_g, r=r, r_elements=r_elements, f=f, degree=-1,
-            degree_cap=cap, multiplicities=(), zero_multiplicity=None,
-            leading_constant=None, degree_window_ok=False, product_bound_ok=False,
-            strict_bound_ok=None, general_equality=False, shifted_equality=False,
-            factorization_verified=None, nonzero=False,
-        )
-
-    r_set = set(r_elements)
     multiplicities = []
-    for bj in b:
-        mult = root_multiplicity(f, bj)
-        need = n - 1 if bj in r_set else n
-        if mult < need:
-            raise BoundViolationError(
-                f"root {bj} has multiplicity {mult} < {need} at p={p}"
-            )
-        multiplicities.append((bj, mult))
-
-    degree = f.degree
-    low = m * n - r
-    if not low <= degree <= cap:
-        raise BoundViolationError(
-            f"degree {degree} escapes window [{low}, {cap}] at p={p}"
-        )
-
     zero_multiplicity = None
-    if lam_in_g:
-        if f.evaluate(0) != 0:
-            raise BoundViolationError(f"f(0) nonzero with lam={lam} in G at p={p}")
-        zero_multiplicity = root_multiplicity(f, 0)
-        if zero_multiplicity < n:
+    general_equality = shifted_equality = False
+    if not f.is_zero():
+        for bj in b:
+            mult = root_multiplicity(f, bj)
+            need = n - 1 if bj in r_set else n
+            if mult < need:
+                raise BoundViolationError(
+                    f"root {bj} has multiplicity {mult} < {need} at p={p}"
+                )
+            multiplicities.append((bj, mult))
+
+        degree = f.degree
+        low = m * n - r
+        if not low <= degree <= cap:
             raise BoundViolationError(
-                f"zero root multiplicity {zero_multiplicity} < {n} at p={p}"
-            )
-        if (m + 1) * n - r > degree:
-            raise BoundViolationError(
-                f"shifted degree bound fails: ({m}+1)*{n}-{r} > {degree} at p={p}"
+                f"degree {degree} escapes window [{low}, {cap}] at p={p}"
             )
 
-    if m * n > g_order + r + n - 1:
-        raise BoundViolationError(
-            f"size bound fails: {m}*{n} > {g_order}+{r}+{n}-1 at p={p}"
-        )
-    strict_ok = None
-    if lam_in_g:
-        strict_ok = m * n <= g_order + r - 1
-        if not strict_ok:
+        if lam_in_g:
+            if f.evaluate(0) != 0:
+                raise BoundViolationError(f"f(0) nonzero with lam={lam} in G at p={p}")
+            zero_multiplicity = root_multiplicity(f, 0)
+            if zero_multiplicity < n:
+                raise BoundViolationError(
+                    f"zero root multiplicity {zero_multiplicity} < {n} at p={p}"
+                )
+            if (m + 1) * n - r > degree:
+                raise BoundViolationError(
+                    f"shifted degree bound fails: ({m}+1)*{n}-{r} > {degree} at p={p}"
+                )
+
+        if m * n > g_order + r + n - 1:
+            raise BoundViolationError(
+                f"size bound fails: {m}*{n} > {g_order}+{r}+{n}-1 at p={p}"
+            )
+        if lam_in_g and m * n > g_order + r - 1:
             raise BoundViolationError(
                 f"strict size bound fails: {m}*{n} > {g_order}+{r}-1 at p={p}"
             )
 
-    general_equality = m * n - r == cap
-    shifted_equality = lam_in_g and r == 0 and (m + 1) * n == cap
-    factorization_verified = None
-    leading_constant = None
-    if general_equality:
-        leading_constant = c_leading
-        roots = []
-        for bj in b:
-            roots.extend([bj] * (n - 1 if bj in r_set else n))
-        expected = DensePoly.from_roots(p, roots).scale(c_leading)
-        factorization_verified = c_leading != 0 and expected == f
-        if not factorization_verified:
-            raise BoundViolationError(f"tight factorization mismatch at p={p}")
-    elif shifted_equality:
-        leading_constant = c_leading
-        base = DensePoly.from_roots(p, (0,) + b)
-        expected = (base ** n).scale(c_leading)
-        factorization_verified = c_leading != 0 and expected == f
-        if not factorization_verified:
-            raise BoundViolationError(f"tight shifted factorization mismatch at p={p}")
+        # the x^cap coefficient is binom(cap, cap) lam^0 M_cap = M_cap = sum c_i a_i^cap
+        c_leading = f.coefficient(cap)
+        general_equality = m * n - r == cap
+        shifted_equality = lam_in_g and r == 0 and (m + 1) * n == cap
+        if general_equality:
+            roots = []
+            for bj in b:
+                roots.extend([bj] * (n - 1 if bj in r_set else n))
+            expected = DensePoly.from_roots(p, roots).scale(c_leading)
+            if c_leading == 0 or expected != f:
+                raise BoundViolationError(f"tight factorization mismatch at p={p}")
+        elif shifted_equality:
+            expected = (DensePoly.from_roots(p, (0,) + b) ** n).scale(c_leading)
+            if c_leading == 0 or expected != f:
+                raise BoundViolationError(f"tight shifted factorization mismatch at p={p}")
 
     return AuxAudit(
-        p=p, a_elements=a, b_elements=b, lam=lam, g_order=g_order,
-        lam_in_g=lam_in_g, r=r, r_elements=r_elements, f=f, degree=degree,
-        degree_cap=cap, multiplicities=tuple(multiplicities),
-        zero_multiplicity=zero_multiplicity, leading_constant=leading_constant,
-        degree_window_ok=True, product_bound_ok=True, strict_bound_ok=strict_ok,
+        lam_in_g=lam_in_g, r_elements=r_elements, f=f, degree_cap=cap,
+        multiplicities=tuple(multiplicities), zero_multiplicity=zero_multiplicity,
         general_equality=general_equality, shifted_equality=shifted_equality,
-        factorization_verified=factorization_verified, nonzero=True,
     )
 
 
@@ -341,12 +311,12 @@ def check_gf_identity(ctx: FieldContext, a_set: ElementSet) -> bool:
     (-1)^(n-1) prod a_i as an exact polynomial.
     """
     p = ctx.p
-    sol = solve_coefficients(ctx, a_set)
-    a = sol.a_elements
+    a = a_set.elements()
+    c = solve_coefficients(ctx, a_set)
     n = len(a)
     lhs = DensePoly.zero(p)
     for i, ai in enumerate(a):
-        term = DensePoly.constant(p, sol.coefficients[i] * pow(ai, n, p) % p)
+        term = DensePoly.constant(p, c[i] * pow(ai, n, p) % p)
         for j, aj in enumerate(a):
             if j != i:
                 term = term * DensePoly(p, (1, p - aj))
@@ -384,7 +354,7 @@ def check_derivative_ratio(ctx: FieldContext, h: DensePoly, b: int, n: int) -> b
     hp_b = h.derivative().evaluate(b)
     if fn1_b != ctx.factorial[n + 1] * hp_b % p:
         return False
-    lhs = hp_b * ctx.inv_table[hb] % p if hb else None
+    lhs = hp_b * ctx.inv_table[hb] % p
     rhs = fn1_b * pow((n + 1) * fn_b % p, -1, p) % p
     return lhs == rhs
 

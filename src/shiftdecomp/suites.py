@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import TheoremViolation
 from .field import FieldContext, make_field, proper_orders, subgroup_of_order
 from .poly import DensePoly, root_multiplicity
 from .sets import ElementSet
@@ -166,7 +165,6 @@ def _flagship_audit():
     )
     tight = (
         audit.general_equality
-        and audit.factorization_verified is True
         and audit.degree == audit.degree_cap
         and root_multiplicity(audit.f, 3) == 2
     )
@@ -195,7 +193,7 @@ def run_stepanov_suite(
         ctx, a_set, b_set, lam, subgroup = _sample_instance(rng, mode)
         audit = audit_instance(ctx, a_set, b_set, lam, subgroup)
         if not audit.nonzero:
-            anomalies.append((ctx.p, audit.a_elements, audit.b_elements, lam,
+            anomalies.append((ctx.p, a_set.elements(), b_set.elements(), lam,
                               subgroup.order))
             continue
         lam_in_g += audit.lam_in_g
@@ -211,7 +209,8 @@ def run_stepanov_suite(
 
     flagship_degree, flagship_tight = _flagship_audit()
 
-    # Second pinned instance: p=13, squares, lam=1 in G, A={1}, B={2,3}.
+    # Second pinned instance: p=13, squares, lam=1 in G, A={1}, B={2,3}.  Its
+    # strict bound is checked (and raises on failure) unless f vanishes.
     ctx13 = make_field(13)
     audit13 = audit_instance(
         ctx13,
@@ -220,7 +219,7 @@ def run_stepanov_suite(
         1,
         subgroup_of_order(ctx13, 6),
     )
-    if audit13.strict_bound_ok is not True:
+    if not audit13.nonzero:
         anomalies.append((13, (1,), (2, 3), 1, 6))
 
     return StepanovSuiteResult(
@@ -348,17 +347,14 @@ def run_unity_suite(
     for m in range(3, decomposition_max + 1):
         decomposition_witnesses.extend(search_2x2_decomposition(m))
 
-    classified = []
-    for m in range(3, classify_max + 1):
-        report = classify_circle_preserving_maps(m)
-        if not report.complete:  # pragma: no cover - classify raises instead
-            raise TheoremViolation(f"incomplete dihedral family at m={m}")
-        classified.append(m)
+    classified = tuple(range(3, classify_max + 1))
+    for m in classified:
+        classify_circle_preserving_maps(m)
 
     return UnitySuiteResult(
         claim_orders_checked=claim_max - 2,
         decomposition_orders_checked=decomposition_max - 2,
-        classified_orders=tuple(classified),
+        classified_orders=classified,
         claim_failures=tuple(claim_failures),
         decomposition_witnesses=tuple(decomposition_witnesses),
         max_quadruple_class=max_class,

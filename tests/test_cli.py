@@ -104,6 +104,16 @@ class TestExitCodes:
         assert code == 1
         assert "maps" in err
 
+    def test_mmax_claim_above_bound_exits_one_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the unity suite started")
+
+        monkeypatch.setattr(cli, "run_unity_suite", no_work)
+        code, out, err = run_cli("unity", "audit", "--mmax-claim", str(cli.MAX_CLAIM_ORDER + 1))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --mmax-claim must be at most {cli.MAX_CLAIM_ORDER}\n"
+
 
 class TestRecordStream:
     def test_json_lines_with_sorted_keys(self):

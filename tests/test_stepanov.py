@@ -22,7 +22,9 @@ from shiftdecomp import (
     check_hp_additive_bound,
     harmonic_sum_identity,
     make_field,
+    run_stepanov_suite,
     solve_coefficients,
+    stepanov,
     subgroup_of_order,
 )
 
@@ -35,20 +37,23 @@ def nonzero_subsets(p: int, min_size: int, max_size: int):
     ).map(lambda s: ElementSet.from_elements(p, s))
 
 
+def moment(p: int, a_set: ElementSet, coeffs: tuple[int, ...], k: int) -> int:
+    return sum(c * pow(a, k, p) for c, a in zip(coeffs, a_set.elements())) % p
+
+
 class TestSolveCoefficients:
     def test_pair_example(self, f7):
-        sol = solve_coefficients(f7, ElementSet.from_elements(7, [1, 2]))
-        assert sol.coefficients == (2, 6)
+        assert solve_coefficients(f7, ElementSet.from_elements(7, [1, 2])) == (2, 6)
 
     def test_singleton(self, f7):
-        sol = solve_coefficients(f7, ElementSet.from_elements(7, [3]))
-        assert sol.coefficients == (1,)
+        assert solve_coefficients(f7, ElementSet.from_elements(7, [3])) == (1,)
 
     def test_moment_normalization(self, f7):
-        sol = solve_coefficients(f7, ElementSet.from_elements(7, [1, 2]))
-        assert sol.moment(0) == 1
-        assert sol.moment(1) == 0
-        assert sol.moment(2) == 5
+        a_set = ElementSet.from_elements(7, [1, 2])
+        coeffs = solve_coefficients(f7, a_set)
+        assert moment(7, a_set, coeffs, 0) == 1
+        assert moment(7, a_set, coeffs, 1) == 0
+        assert moment(7, a_set, coeffs, 2) == 5
 
     def test_rejects_zero_element(self, f7):
         with pytest.raises(ZeroElementError):
@@ -58,19 +63,18 @@ class TestSolveCoefficients:
     def test_moment_window_vanishes(self, p, data):
         ctx = make_field(p)
         a_set = data.draw(nonzero_subsets(p, 1, min(5, p - 1)))
-        sol = solve_coefficients(ctx, a_set)
+        coeffs = solve_coefficients(ctx, a_set)
         n = len(a_set)
-        assert sol.moment(0) == 1
+        assert moment(p, a_set, coeffs, 0) == 1
         for k in range(1, n):
-            assert sol.moment(k) == 0
+            assert moment(p, a_set, coeffs, k) == 0
 
     @given(st.sampled_from(PRIMES), st.data())
     def test_coefficients_never_zero(self, p, data):
         # each c_i is a ratio of products of nonzero field elements
         ctx = make_field(p)
         a_set = data.draw(nonzero_subsets(p, 1, min(5, p - 1)))
-        sol = solve_coefficients(ctx, a_set)
-        assert all(c != 0 for c in sol.coefficients)
+        assert all(c != 0 for c in solve_coefficients(ctx, a_set))
 
 
 class TestBuildAuxiliaryPolynomial:
@@ -125,10 +129,9 @@ class TestAuditInstance:
         assert audit.r == 1
         assert audit.r_elements == (4,)
         assert audit.lam_in_g is False
+        # general_equality is only returned once the tight factorization holds
         assert audit.general_equality
-        assert audit.factorization_verified
-        assert audit.product_bound_ok
-        assert audit.degree_window_ok
+        assert audit.nonzero
 
     def test_shifted_equality_instance(self, f7):
         g = subgroup_of_order(f7, 3)
@@ -141,10 +144,11 @@ class TestAuditInstance:
         )
         assert audit.lam_in_g is True
         assert audit.r == 0
+        # shifted_equality is only returned once the tight factorization holds
         assert audit.shifted_equality
-        assert audit.factorization_verified
         assert audit.zero_multiplicity == 1
-        assert audit.strict_bound_ok
+        # with lam in G, a nonzero f has passed the strict size bound
+        assert audit.nonzero
 
     def test_flagship_instance(self, f11):
         g = subgroup_of_order(f11, 5)  # {1, 3, 4, 5, 9}
@@ -160,10 +164,8 @@ class TestAuditInstance:
         assert audit.r == 0
         assert audit.multiplicities == ((1, 2), (2, 2), (3, 2))
         assert audit.general_equality
-        assert audit.factorization_verified
-        assert audit.nonzero
         # the size bound 2 * 3 <= 5 + 0 + 2 - 1 holds with equality
-        assert audit.product_bound_ok
+        assert audit.nonzero
 
     def test_rejects_escaping_product(self, f11):
         g = subgroup_of_order(f11, 5)
@@ -197,10 +199,39 @@ class TestAuditInstance:
                     audit = audit_instance(
                         ctx, ElementSet.from_elements(p, [1]), b_full, lam, g
                     )
-                    assert audit.product_bound_ok
-                    assert audit.degree_window_ok
+                    assert audit.nonzero
                     checked += 1
         assert checked == 48  # 18 instances over F_7 plus 30 over F_11
+
+
+class TestVanishingPolynomial:
+    @pytest.fixture(autouse=True)
+    def zero_auxiliary_polynomial(self, monkeypatch):
+        monkeypatch.setattr(stepanov, "build_auxiliary_polynomial",
+                            lambda ctx, a_set, lam, g_order: DensePoly.zero(ctx.p))
+
+    def test_audit_returns_instead_of_raising(self, f7):
+        audit = audit_instance(
+            f7,
+            ElementSet.from_elements(7, [1]),
+            ElementSet.from_elements(7, [1, 4, 5, 6]),
+            3,
+            subgroup_of_order(f7, 3),
+        )
+        assert not audit.nonzero
+        assert audit.degree == -1
+        assert audit.r_elements == (4,)
+        assert audit.multiplicities == ()
+        assert audit.zero_multiplicity is None
+        assert not audit.general_equality
+        assert not audit.shifted_equality
+
+    def test_suite_counts_every_instance_as_an_anomaly(self):
+        r = run_stepanov_suite(instances=10, additive_samples=2, seed=1)
+        assert len(r.anomalies) == 11  # the 10 sampled instances and the pinned p = 13 one
+        assert r.flagship_degree == -1
+        assert not r.flagship_tight
+        assert not r.passed
 
 
 class TestAdditiveBound:

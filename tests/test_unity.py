@@ -24,6 +24,7 @@ from shiftdecomp import (
     classify_circle_preserving_maps,
     mobius_fit,
     search_2x2_decomposition,
+    unity,
 )
 
 
@@ -136,31 +137,73 @@ class TestProductClaim:
         g = UnityGroup.of_order(4)
         assert abs(g.x_values[0] * g.x_values[2] - 2) < 1e-12
         assert abs(g.x_values[1] * g.x_values[1] - 4) < 1e-12
-        verdict = check_xk_product_claim(4)
-        assert verdict.passed
-        assert verdict.pair_count == 6
+        assert check_xk_product_claim(4).passed
 
     @pytest.mark.parametrize("m", [3, 4, 5, 8, 13, 21, 30])
     def test_claim_holds(self, m):
         verdict = check_xk_product_claim(m)
         assert verdict.passed
+        # every product is more than DEFAULT_TOL away from every other
         assert verdict.numeric_violations == ()
         assert verdict.oracle_violations == ()
-        assert verdict.pair_count == (m - 1) * m // 2
         assert verdict.max_quadruple_class <= 4
-        assert verdict.min_product_gap > 0
+
+    @pytest.mark.parametrize("m, x_values", [
+        # products 1, 1+d, 1+2d, (1+d)^2, (1+d)(1+2d), (1+2d)^2 with d = 0.3 tol
+        (4, (1.0, 1.0 + 0.3e-9, 1.0 + 0.6e-9)),
+        # all products equal: each of the (m-1)m/2 pairs clashes with every other
+        (4, (1.0,) * 3),
+        (6, (1.0,) * 5),
+    ])
+    def test_numeric_pass_reports_every_close_pair(self, monkeypatch, m, x_values):
+        monkeypatch.setattr(UnityGroup, "of_order",
+                            classmethod(lambda cls, order: cls(order, (), x_values)))
+        pairs = [(k, l) for k in range(1, m) for l in range(k, m)]
+        prods = [x_values[k - 1] * x_values[l - 1] for k, l in pairs]
+        expected = {
+            frozenset((pairs[i], pairs[j]))
+            for i in range(len(pairs))
+            for j in range(i + 1, len(pairs))
+            if abs(prods[i] - prods[j]) <= unity.DEFAULT_TOL
+        }
+        verdict = check_xk_product_claim(m)
+        reported = [frozenset((pi, pj)) for pi, pj, _ in verdict.numeric_violations]
+        assert len(reported) == len(set(reported))
+        assert set(reported) == expected
+        assert len(expected) > len(pairs)
+        assert not verdict.passed
 
 
 class TestCirclePreservingMaps:
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
-    def test_exactly_dihedral_survivors(self, m):
-        report = classify_circle_preserving_maps(m)
-        assert report.survivor_count == 2 * m
-        assert report.rotations == tuple(range(m))
-        assert report.reflections == tuple(range(m))
-        assert report.complete
+    def test_exactly_dihedral_survivors(self, monkeypatch, m):
+        fits = []
+
+        def counting_fit(z_points, w_points):
+            fits.append(w_points)
+            return mobius_fit(z_points, w_points)
+
+        monkeypatch.setattr(unity, "mobius_fit", counting_fit)
+        # returning at all means all 2m rotations and reflections survived
+        assert classify_circle_preserving_maps(m) is None
         # one fit from (g_0, g_1, g_2) to each ordered triple of G
-        assert report.fits_tested == m * (m - 1) * (m - 2)
+        assert len(fits) == m * (m - 1) * (m - 2)
+
+    @pytest.mark.parametrize("remap, message", [
+        (lambda k, m: None, "expected all 2m dihedral maps at m=5, found 0 rotations"),
+        (lambda k, m: (k + 1) % m, "deviates from rotation"),
+        (lambda k, m: 2 * k % m, "matches no dihedral map"),
+    ])
+    def test_missed_survivor_raises(self, monkeypatch, remap, message):
+        nearest = UnityGroup.nearest_index
+
+        def misread(self, z):
+            k = nearest(self, z)
+            return None if k is None else remap(k, self.m)
+
+        monkeypatch.setattr(UnityGroup, "nearest_index", misread)
+        with pytest.raises(TheoremViolation, match=message):
+            classify_circle_preserving_maps(5)
 
     def test_rejects_out_of_range_order(self):
         with pytest.raises(ValueError):

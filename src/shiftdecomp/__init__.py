@@ -33,7 +33,6 @@ from .field import (
     MAX_PRIME,
     FieldContext,
     MultSubgroup,
-    coset_test,
     enumerate_proper_subgroups,
     is_prime,
     make_field,
@@ -46,7 +45,6 @@ from .sets import (
     affine_image,
     build_target,
     compose_sets,
-    representation_counts,
 )
 from .poly import DensePoly, root_multiplicity
 from .symfunc import (
@@ -67,7 +65,6 @@ from .stepanov import (
     solve_coefficients,
 )
 from .search import (
-    DecompKind,
     DecompWitness,
     SearchReport,
     canonical_product_witness,
@@ -116,10 +113,10 @@ __all__ = [
     "DegenerateInputError", "TheoremViolation",
     # field
     "MAX_PRIME", "FieldContext", "MultSubgroup", "make_field", "is_prime",
-    "subgroup_of_order", "enumerate_proper_subgroups", "coset_test",
+    "subgroup_of_order", "enumerate_proper_subgroups",
     # sets
-    "ElementSet", "SetOp", "TargetVariant", "compose_sets",
-    "representation_counts", "affine_image", "build_target",
+    "ElementSet", "SetOp", "TargetVariant", "compose_sets", "affine_image",
+    "build_target",
     # poly
     "DensePoly", "root_multiplicity",
     # symfunc
@@ -131,7 +128,7 @@ __all__ = [
     "build_auxiliary_polynomial", "audit_instance", "check_hp_additive_bound",
     "check_gf_identity", "check_derivative_ratio", "harmonic_sum_identity",
     # search
-    "DecompKind", "DecompWitness", "SearchReport", "canonical_product_witness",
+    "DecompWitness", "SearchReport", "canonical_product_witness",
     "find_exact_factorizations", "factorization_oracle",
     "find_ratio_representations", "find_difference_representations",
     "max_difference_clique",

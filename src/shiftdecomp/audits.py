@@ -27,7 +27,6 @@ from .field import (
     subgroup_of_order,
 )
 from .search import (
-    DecompKind,
     canonical_product_witness,
     factorization_oracle,
     find_difference_representations,
@@ -36,7 +35,7 @@ from .search import (
     max_difference_clique,
     scale_product_report,
 )
-from .sets import ElementSet, TargetVariant, build_target
+from .sets import ElementSet, SetOp, TargetVariant, build_target
 
 __all__ = [
     "AuditKind",
@@ -124,13 +123,13 @@ def _targets(kind: AuditKind, ctx: FieldContext, subgroup: MultSubgroup):
         yield {"clique": max_difference_clique(ctx, subgroup)}, None
 
 
-# kind -> search kind; the Paley clique audit runs no search
+# kind -> searched set operation; the Paley clique audit runs no search
 _SEARCH_KIND = {
-    AuditKind.SARKOZY_PRODUCT: DecompKind.PRODUCT,
-    AuditKind.LAMBDA_CENSUS: DecompKind.PRODUCT,
-    AuditKind.SHIFTED_RATIO: DecompKind.RATIO_REP,
-    AuditKind.LEV_SONN_DIFFERENCE: DecompKind.DIFF_REP,
-    AuditKind.KALMYNIN_SUM: DecompKind.SUM,
+    AuditKind.SARKOZY_PRODUCT: SetOp.PRODUCT,
+    AuditKind.LAMBDA_CENSUS: SetOp.PRODUCT,
+    AuditKind.SHIFTED_RATIO: SetOp.RATIO,
+    AuditKind.LEV_SONN_DIFFERENCE: SetOp.DIFFERENCE,
+    AuditKind.KALMYNIN_SUM: SetOp.SUM,
     AuditKind.PALEY_CLIQUE: None,
 }
 
@@ -145,7 +144,7 @@ def _witnesses(report, target: ElementSet) -> list[dict]:
     return out
 
 
-def _cross_check_oracle(ctx, target, kind: DecompKind, report) -> None:
+def _cross_check_oracle(ctx, target, kind: SetOp, report) -> None:
     expected = factorization_oracle(ctx, target, kind)
     got = sorted((w.a, w.b) for w in report.witnesses)
     if got != expected:
@@ -155,10 +154,10 @@ def _cross_check_oracle(ctx, target, kind: DecompKind, report) -> None:
         )
 
 
-def _search(ctx: FieldContext, target: ElementSet, kind: DecompKind):
-    if kind is DecompKind.RATIO_REP:
+def _search(ctx: FieldContext, target: ElementSet, kind: SetOp):
+    if kind is SetOp.RATIO:
         return find_ratio_representations(ctx, target)
-    if kind is DecompKind.DIFF_REP:
+    if kind is SetOp.DIFFERENCE:
         return find_difference_representations(ctx, target)
     return find_exact_factorizations(ctx, target, kind)
 
@@ -176,7 +175,7 @@ def _execute_task(task: tuple) -> list[dict]:
     kind = AuditKind(kind_value)
     search_kind = _SEARCH_KIND[kind]
     cross_check = (oracle and p <= ORACLE_MAX
-                   and search_kind in (DecompKind.PRODUCT, DecompKind.SUM))
+                   and search_kind in (SetOp.PRODUCT, SetOp.SUM))
     ctx = make_field(p)
     subgroup = subgroup_of_order(ctx, order)
     records = []

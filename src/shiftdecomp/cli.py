@@ -31,6 +31,10 @@ EXIT_VIOLATION = 2
 # the product claim at order m holds all m(m-1)/2 chord products in memory; a
 # full `unity audit` at this bound takes 13-15 s and 37 MB (2-core x86 host)
 MAX_CLAIM_ORDER = 300
+# about 0.16 ms per instance: `stepanov audit` at this bound takes 16 s and 19 MB
+MAX_INSTANCES = 100_000
+# every order past 5 is empty by pigeonhole: `unity audit` at this bound takes 1.0 s
+MAX_PAIRS_ORDER = 1_000_000
 
 # (command, subcommand) -> (audit, default smallest prime, default largest prime)
 _AUDITS = {
@@ -90,7 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     stepanov = commands.add_parser("stepanov", help="auxiliary-polynomial suite")
     stepanov_sub = stepanov.add_subparsers(dest="which", required=True)
     stepanov_cmd = stepanov_sub.add_parser("audit")
-    stepanov_cmd.add_argument("--instances", type=int, default=1000)
+    stepanov_cmd.add_argument("--instances", type=int, default=1000,
+                              help=f"random instances (default 1000, at most {MAX_INSTANCES})")
     stepanov_cmd.add_argument("--seed", type=int, default=20260815)
     stepanov_cmd.add_argument("--out", default=None)
 
@@ -106,7 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
     unity_cmd.add_argument("--mmax-claim", dest="mmax_claim", type=int, default=100,
                            help="largest order for the chord-product claim "
                                 f"(default 100, at most {MAX_CLAIM_ORDER})")
-    unity_cmd.add_argument("--mmax-pairs", dest="mmax_pairs", type=int, default=50)
+    unity_cmd.add_argument("--mmax-pairs", dest="mmax_pairs", type=int, default=50,
+                           help="largest order for the 2x2 decomposition search "
+                                f"(default 50, at most {MAX_PAIRS_ORDER})")
     unity_cmd.add_argument("--mmax-maps", dest="mmax_maps", type=int, default=8)
     unity_cmd.add_argument("--out", default=None)
 
@@ -137,11 +144,15 @@ def _usage_error(args) -> str | None:
             return "--workers must be positive"
     elif args.command == "stepanov" and args.instances < 1:
         return "--instances must be positive"
+    elif args.command == "stepanov" and args.instances > MAX_INSTANCES:
+        return f"--instances must be at most {MAX_INSTANCES}"
     elif args.command == "unity" and (args.mmax_claim < 3 or args.mmax_pairs < 3
                                       or not 3 <= args.mmax_maps <= 12):
         return "unity bounds need mmax >= 3 (maps <= 12)"
     elif args.command == "unity" and args.mmax_claim > MAX_CLAIM_ORDER:
         return f"--mmax-claim must be at most {MAX_CLAIM_ORDER}"
+    elif args.command == "unity" and args.mmax_pairs > MAX_PAIRS_ORDER:
+        return f"--mmax-pairs must be at most {MAX_PAIRS_ORDER}"
     return None
 
 

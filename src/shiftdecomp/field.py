@@ -4,13 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import (
-    NotADivisorError,
-    NotPrimeError,
-    OutOfRangeError,
-    ZeroDivisorError,
-    ZeroElementError,
-)
+from .errors import NotADivisorError, NotPrimeError, OutOfRangeError
 from .sets import ElementSet
 
 MAX_PRIME = 1 << 20
@@ -110,17 +104,6 @@ class FieldContext:
         self.power_table = tuple(powers)
         self.dlog_table = tuple(dlog)
 
-    def element_order(self, a: int) -> int:
-        """Multiplicative order of a nonzero residue."""
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisorError("0 has no multiplicative order")
-        order = self.p - 1
-        for q in _prime_factors(self.p - 1):
-            while order % q == 0 and pow(a, order // q, self.p) == 1:
-                order //= q
-        return order
-
     def binomial(self, n: int, k: int) -> int:
         """C(n, k) mod p via factorial tables, with Lucas digits once n reaches p."""
         if k < 0 or k > n:
@@ -166,17 +149,12 @@ def make_field(p: int) -> FieldContext:
 class MultSubgroup:
     """The unique multiplicative subgroup of F_p^* of a given order."""
 
-    __slots__ = ("ctx", "order", "index", "generator", "elements")
+    __slots__ = ("ctx", "order", "elements")
 
-    def __init__(self, ctx: FieldContext, order: int, generator: int, elements: ElementSet):
+    def __init__(self, ctx: FieldContext, order: int, elements: ElementSet):
         self.ctx = ctx
         self.order = order
-        self.index = (ctx.p - 1) // order
-        self.generator = generator
         self.elements = elements
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.elements
 
     def __eq__(self, other) -> bool:
         return (
@@ -206,29 +184,9 @@ def subgroup_of_order(ctx: FieldContext, d: int) -> MultSubgroup:
     for _ in range(d):
         mask |= 1 << x
         x = x * gen % ctx.p
-    return MultSubgroup(ctx, d, gen, ElementSet(ctx.p, mask))
+    return MultSubgroup(ctx, d, ElementSet(ctx.p, mask))
 
 
 def enumerate_proper_subgroups(ctx: FieldContext) -> list[MultSubgroup]:
     """All subgroups of order < p - 1, ascending by order."""
     return [subgroup_of_order(ctx, d) for d in proper_orders(ctx.p)]
-
-
-def coset_test(ctx: FieldContext, a_set: ElementSet) -> tuple[int, int] | None:
-    """Return (order, representative) when a_set is a coset of a subgroup, else None.
-
-    The representative is the smallest element of the set.
-    """
-    if len(a_set) == 0:
-        raise ValueError("coset test needs a nonempty set")
-    if 0 in a_set:
-        raise ZeroElementError("cosets of multiplicative subgroups avoid 0")
-    d = len(a_set)
-    if (ctx.p - 1) % d != 0:
-        return None
-    rep = next(iter(a_set))
-    rep_inv = ctx.inv_table[rep]
-    scaled = ElementSet.from_elements(ctx.p, (x * rep_inv for x in a_set))
-    if scaled == subgroup_of_order(ctx, d).elements:
-        return (d, rep)
-    return None

@@ -72,13 +72,6 @@ class DensePoly:
             self.p, (self.coefficient(k) + other.coefficient(k) for k in range(n))
         )
 
-    def __sub__(self, other: "DensePoly") -> "DensePoly":
-        self._require_same_modulus(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DensePoly(
-            self.p, (self.coefficient(k) - other.coefficient(k) for k in range(n))
-        )
-
     def __mul__(self, other: "DensePoly") -> "DensePoly":
         self._require_same_modulus(other)
         if self.is_zero() or other.is_zero():

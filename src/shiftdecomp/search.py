@@ -17,24 +17,12 @@ G union {0}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import MissingZeroError, ZeroInTargetError
+from .errors import MissingZeroError, ModulusMismatchError, ZeroInTargetError
 from .field import FieldContext, MultSubgroup
 from .sets import ElementSet, SetOp, compose_sets
-
-
-class DecompKind(Enum):
-    PRODUCT = "product"
-    SUM = "sum"
-    RATIO_REP = "ratio-rep"
-    DIFF_REP = "diff-rep"
-
-
-_SET_OPS = {DecompKind.PRODUCT: SetOp.PRODUCT, DecompKind.SUM: SetOp.SUM,
-            DecompKind.RATIO_REP: SetOp.RATIO, DecompKind.DIFF_REP: SetOp.DIFFERENCE}
 
 
 @dataclass(frozen=True)
@@ -42,7 +30,7 @@ class DecompWitness:
     """A verified (A, B) factorization or a single representing set A."""
 
     p: int
-    kind: DecompKind
+    kind: SetOp
     a: tuple[int, ...]
     b: tuple[int, ...] | None = None
 
@@ -50,7 +38,7 @@ class DecompWitness:
         """Recompute A op B, or A op A for a single set, and compare with the target."""
         first = ElementSet.from_elements(self.p, self.a)
         second = first if self.b is None else ElementSet.from_elements(self.p, self.b)
-        return compose_sets(first, second, _SET_OPS[self.kind]) == target
+        return compose_sets(first, second, self.kind) == target
 
 
 @dataclass(frozen=True)
@@ -99,6 +87,12 @@ def canonical_product_witness(
         for first, second in ((a, b), (b, a))
         for c in second
     )
+
+
+def _require_field(ctx: FieldContext, target: ElementSet) -> None:
+    """Reject a target from another field; its residues would index foreign tables."""
+    if target.p != ctx.p:
+        raise ModulusMismatchError(f"target modulus {target.p} differs from the field's {ctx.p}")
 
 
 def _log_mask(ctx: FieldContext, target: ElementSet) -> int:
@@ -193,23 +187,24 @@ def _sum_search(
 
 
 def find_exact_factorizations(
-    ctx: FieldContext, target: ElementSet, kind: DecompKind, min_size: int = 2
+    ctx: FieldContext, target: ElementSet, kind: SetOp, min_size: int = 2
 ) -> SearchReport:
     """Complete canonical list of (A, B) with A op B = target and |A|,|B| >= min_size."""
+    _require_field(ctx, target)
     if not target:
         raise ValueError("factorization search needs a nonempty target")
-    if kind is DecompKind.PRODUCT:
+    if kind is SetOp.PRODUCT:
         if 0 in target:
             raise ZeroInTargetError("product factorization target must avoid 0")
         pairs, nodes = _product_search(ctx, target, min_size)
-    elif kind is DecompKind.SUM:
+    elif kind is SetOp.SUM:
         pairs, nodes = _sum_search(ctx, target, min_size)
     else:
         raise ValueError(f"unsupported factorization kind: {kind!r}")
     return _report(ctx.p, kind, pairs, nodes)
 
 
-def _report(p: int, kind: DecompKind, witnesses: list[tuple], nodes: int) -> SearchReport:
+def _report(p: int, kind: SetOp, witnesses: list[tuple], nodes: int) -> SearchReport:
     """SearchReport for sorted (A,) or (A, B) witness tuples of a completed search."""
     return SearchReport(tuple(DecompWitness(p, kind, *w) for w in witnesses), True, nodes)
 
@@ -223,12 +218,12 @@ def scale_product_report(ctx: FieldContext, report: SearchReport, c: int) -> Sea
     p = ctx.p
     witnesses = sorted({canonical_product_witness(ctx, [c * x % p for x in w.a], w.b)
                         for w in report.witnesses})
-    return SearchReport(tuple(DecompWitness(p, DecompKind.PRODUCT, *w) for w in witnesses),
+    return SearchReport(tuple(DecompWitness(p, SetOp.PRODUCT, *w) for w in witnesses),
                         report.exhaustive, 0)
 
 
 def factorization_oracle(
-    ctx: FieldContext, target: ElementSet, kind: DecompKind, min_size: int = 2
+    ctx: FieldContext, target: ElementSet, kind: SetOp, min_size: int = 2
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Naive reference enumeration of the same canonical witnesses.
 
@@ -237,13 +232,14 @@ def factorization_oracle(
     engine.  SUM stays unseeded, B ranging over all of Z_p, so it checks the
     engine's translation reduction independently.
     """
+    _require_field(ctx, target)
     p = ctx.p
     size = len(target)
     if size == 0:
         raise ValueError("factorization oracle needs a nonempty target")
     tset = set(target)
     found = set()
-    if kind is DecompKind.PRODUCT:
+    if kind is SetOp.PRODUCT:
         if 0 in target:
             raise ZeroInTargetError("product factorization target must avoid 0")
         smask = target.mask
@@ -269,7 +265,7 @@ def factorization_oracle(
                     covered = {a * b % p for b in b_elems for a in a_elems}
                     if covered == tset:
                         found.add(canonical_product_witness(ctx, a_elems, b_elems))
-    elif kind is DecompKind.SUM:
+    elif kind is SetOp.SUM:
         full = (1 << p) - 1
         shifted = [_rotate(target.mask, (p - b) % p, p, full) for b in range(p)]
         for k in range(min_size, min(size, p) + 1):
@@ -362,6 +358,7 @@ def _difference_representations(n: int, tmask: int) -> tuple[list[tuple[int, ...
 
 def find_ratio_representations(ctx: FieldContext, target: ElementSet) -> SearchReport:
     """All maximal A (1 in A) with A/A = target; the difference search on discrete logs."""
+    _require_field(ctx, target)
     if 0 in target:
         raise ZeroInTargetError("ratio representation target must avoid 0")
     witnesses: list[tuple[int, ...]] = []
@@ -369,19 +366,21 @@ def find_ratio_representations(ctx: FieldContext, target: ElementSet) -> SearchR
     if 1 in target:
         logs, nodes = _difference_representations(ctx.p - 1, _log_mask(ctx, target))
         witnesses = sorted(tuple(sorted(ctx.power_table[e] for e in w)) for w in logs)
-    return _report(ctx.p, DecompKind.RATIO_REP, [(w,) for w in witnesses], nodes)
+    return _report(ctx.p, SetOp.RATIO, [(w,) for w in witnesses], nodes)
 
 
 def find_difference_representations(ctx: FieldContext, target: ElementSet) -> SearchReport:
     """All maximal A (0 in A) with A-A = target; complete via clique enumeration."""
+    _require_field(ctx, target)
     if 0 not in target:
         raise MissingZeroError("difference representation target must contain 0")
     witnesses, nodes = _difference_representations(ctx.p, target.mask)
-    return _report(ctx.p, DecompKind.DIFF_REP, [(w,) for w in sorted(witnesses)], nodes)
+    return _report(ctx.p, SetOp.DIFFERENCE, [(w,) for w in sorted(witnesses)], nodes)
 
 
 def max_difference_clique(ctx: FieldContext, subgroup: MultSubgroup) -> int:
     """Largest |A| with A - A inside G union {0} (ordered differences)."""
+    _require_field(ctx, subgroup.elements)
     # translate A to contain 0; if -1 is outside G, x and -x are never both
     # differences, so the graph is the single vertex 0
     target = subgroup.elements.with_element(0)

@@ -74,27 +74,8 @@ class ElementSet:
         if self.p != other.p:
             raise ModulusMismatchError(f"moduli differ: {self.p} vs {other.p}")
 
-    def __and__(self, other: "ElementSet") -> "ElementSet":
-        self._require_same_modulus(other)
-        return ElementSet(self.p, self.mask & other.mask)
-
-    def __or__(self, other: "ElementSet") -> "ElementSet":
-        self._require_same_modulus(other)
-        return ElementSet(self.p, self.mask | other.mask)
-
-    def __sub__(self, other: "ElementSet") -> "ElementSet":
-        self._require_same_modulus(other)
-        return ElementSet(self.p, self.mask & ~other.mask)
-
     def with_element(self, x: int) -> "ElementSet":
         return ElementSet(self.p, self.mask | (1 << (x % self.p)))
-
-    def without_element(self, x: int) -> "ElementSet":
-        return ElementSet(self.p, self.mask & ~(1 << (x % self.p)))
-
-    def is_subset_of(self, other: "ElementSet") -> bool:
-        self._require_same_modulus(other)
-        return self.mask & ~other.mask == 0
 
 
 class SetOp(enum.Enum):
@@ -126,21 +107,6 @@ def compose_sets(x: ElementSet, y: ElementSet, op: SetOp) -> ElementSet:
         for a in xs:
             mask |= 1 << _composed_value(a, b, op, p)
     return ElementSet(p, mask)
-
-
-def representation_counts(x: ElementSet, y: ElementSet, op: SetOp) -> dict[int, int]:
-    """How many ordered pairs (a, b) produce each composed residue."""
-    x._require_same_modulus(y)
-    p = x.p
-    if op is SetOp.RATIO and 0 in y:
-        raise ZeroDivisorError("ratio composition requires 0 outside the divisor set")
-    counts: dict[int, int] = {}
-    xs = x.elements()
-    for b in y:
-        for a in xs:
-            v = _composed_value(a, b, op, p)
-            counts[v] = counts.get(v, 0) + 1
-    return counts
 
 
 def affine_image(x: ElementSet, scale: int, shift: int, drop_zero: bool = False) -> ElementSet:

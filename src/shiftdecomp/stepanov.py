@@ -28,7 +28,6 @@ __all__ = [
     "AuxAudit",
     "solve_coefficients",
     "build_auxiliary_polynomial",
-    "root_multiplicity",
     "audit_instance",
     "check_hp_additive_bound",
     "check_gf_identity",

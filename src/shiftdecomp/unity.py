@@ -74,10 +74,6 @@ class UnityGroup:
         x_values = tuple(z - 1.0 for z in elements[1:])
         return cls(m, tuple(elements), x_values)
 
-    @property
-    def zeta(self) -> complex:
-        return self.elements[1 % self.m]
-
     def nearest_index(self, z: complex) -> int | None:
         """Index k with |z - zeta^k| <= DEFAULT_TOL, or None."""
         if _is_inf(z) or abs(abs(z) - 1.0) > DEFAULT_TOL:

@@ -9,7 +9,7 @@ import pytest
 
 from shiftdecomp import (
     AuditKind,
-    DecompKind,
+    SetOp,
     TargetVariant,
     TheoremViolation,
     audit_theorems,
@@ -206,7 +206,7 @@ class TestProductAudit:
             if not target:
                 assert (order, r["witnesses"], r["nodes"]) == (1, [], 0)
                 continue
-            report = find_exact_factorizations(ctx, target, DecompKind.PRODUCT)
+            report = find_exact_factorizations(ctx, target, SetOp.PRODUCT)
             assert r["witnesses"] == [{"A": list(w.a), "B": list(w.b)}
                                       for w in report.witnesses]
             assert r["exhaustive"] == report.exhaustive

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -113,6 +114,54 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err == f"error: --mmax-claim must be at most {cli.MAX_CLAIM_ORDER}\n"
+
+    @pytest.mark.parametrize("runner,argv,flag,bound", [
+        ("run_stepanov_suite", ("stepanov", "audit"), "--instances", "MAX_INSTANCES"),
+        ("run_unity_suite", ("unity", "audit"), "--mmax-pairs", "MAX_PAIRS_ORDER"),
+    ])
+    def test_suite_size_above_bound_exits_one_before_any_work(self, monkeypatch, runner,
+                                                              argv, flag, bound):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the suite started")
+
+        monkeypatch.setattr(cli, runner, no_work)
+        limit = getattr(cli, bound)
+        code, out, err = run_cli(*argv, flag, str(limit + 1))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {flag} must be at most {limit}\n"
+
+
+_EMPTY = hashlib.sha256(b"").hexdigest()
+# argv -> (exit code, sha256 of stdout, sha256 of stderr) with elapsed_ms and
+# nodes masked; the oracle only raises, so switching it off leaves the stream as is
+PINNED_STREAMS = {
+    ("verify", "sarkozy", "--pmax", "23", "--oracle", "off"):
+        (0, "296dfe5406ee5f6840b4af6c94b9f580488772da9cd9f0fbb0fb93fcf9ccf35f", _EMPTY),
+    ("verify", "kalmynin-sum", "--pmax", "23", "--oracle", "off"):
+        (0, "b74f9c53b174a8d9010d01ae761f9b808335d53c0eed3b2d182d51475aa8be00", _EMPTY),
+    ("verify", "levsonn", "--pmax", "23"):
+        (0, "a12925de717078ee380b94e052581e6f198015a34c8148d7a42acae4910c28db", _EMPTY),
+    ("verify", "ratio", "--pmax", "13"):
+        (0, "a3b57ca16f9d815fa7d9aca4de880bcb90cc0ba92c385ee7cd923cd134b7a317", _EMPTY),
+    ("verify", "clique"):
+        (2, "6629abe7818a9ed8d8ad909ec90f6cb92e3b872876c2784f857d892865043a91",
+         "069d008226a02a4a42fb4b1ab2db026ed86432bae9ec1d8b0cc5d11210ebb6f6"),
+    ("census", "lambda-not-in-g"):
+        (0, "754b7f6ae61b26bba71e2ee001e10d3c95fe6294a51753c40d052fbd04f4a5e7", _EMPTY),
+    ("reproduce", "counterexamples"):
+        (0, "5dbebc8cfb262c98d5f669da73796ecb644ac03130e960f2a900d3a90ffd6b20", _EMPTY),
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_STREAMS), ids=" ".join)
+def test_record_stream_matches_pinned_digest(argv):
+    def digest(text: str) -> str:
+        masked = re.sub(r'"(elapsed_ms|nodes)": [-+0-9.eE]+', r'"\1": _', text)
+        return hashlib.sha256(masked.encode()).hexdigest()
+
+    code, out, err = run_cli(*argv)
+    assert (code, digest(out), digest(err)) == PINNED_STREAMS[argv]
 
 
 class TestRecordStream:

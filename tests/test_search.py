@@ -10,9 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shiftdecomp import (
-    DecompKind,
     ElementSet,
     MissingZeroError,
+    ModulusMismatchError,
     SetOp,
     TargetVariant,
     ZeroInTargetError,
@@ -71,7 +71,7 @@ class TestProductSearch:
         g = subgroup_of_order(f11, 5)
         target = build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=2)
         assert target.elements() == (1, 2, 3, 7, 10)
-        report = find_exact_factorizations(f11, target, DecompKind.PRODUCT)
+        report = find_exact_factorizations(f11, target, SetOp.PRODUCT)
         assert report.exhaustive
         assert [(w.a, w.b) for w in report.witnesses] == [((1, 2, 3), (1, 7))]
         assert report.witnesses[0].verify(target)
@@ -80,33 +80,33 @@ class TestProductSearch:
     def test_f19_shifted_subgroup(self, f19):
         g = subgroup_of_order(f19, 6)
         target = build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=2)
-        report = find_exact_factorizations(f19, target, DecompKind.PRODUCT)
+        report = find_exact_factorizations(f19, target, SetOp.PRODUCT)
         assert [(w.a, w.b) for w in report.witnesses] == [((5, 9), (1, 2, 7))]
 
     def test_no_witnesses_for_lambda_in_g(self, f13):
         g = subgroup_of_order(f13, 3)  # {1, 3, 9}
         target = build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=3)
-        report = find_exact_factorizations(f13, target, DecompKind.PRODUCT)
+        report = find_exact_factorizations(f13, target, SetOp.PRODUCT)
         assert report.witnesses == ()
         assert report.exhaustive
 
     def test_min_size_filters(self, f11):
         g = subgroup_of_order(f11, 5)
         target = build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=2)
-        report = find_exact_factorizations(f11, target, DecompKind.PRODUCT, min_size=3)
+        report = find_exact_factorizations(f11, target, SetOp.PRODUCT, min_size=3)
         assert report.witnesses == ()
 
     def test_rejects_zero_in_target(self, f11):
         with pytest.raises(ZeroInTargetError):
             find_exact_factorizations(
-                f11, ElementSet.from_elements(11, [0, 1, 2]), DecompKind.PRODUCT
+                f11, ElementSet.from_elements(11, [0, 1, 2]), SetOp.PRODUCT
             )
 
     def test_report_metadata(self, f11):
         g = subgroup_of_order(f11, 5)
         target = build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=2)
-        report = find_exact_factorizations(f11, target, DecompKind.PRODUCT)
-        assert [w.kind for w in report.witnesses] == [DecompKind.PRODUCT]
+        report = find_exact_factorizations(f11, target, SetOp.PRODUCT)
+        assert [w.kind for w in report.witnesses] == [SetOp.PRODUCT]
         assert report.exhaustive
         assert report.nodes > 0
 
@@ -114,7 +114,7 @@ class TestProductSearch:
 class TestSumSearch:
     def test_order_four_mod_13(self, f13):
         g = subgroup_of_order(f13, 4)  # {1, 5, 8, 12}
-        report = find_exact_factorizations(f13, g.elements, DecompKind.SUM)
+        report = find_exact_factorizations(f13, g.elements, SetOp.SUM)
         assert len(report.witnesses) == 13
         for w in report.witnesses:
             assert len(w.a) == len(w.b) == 2
@@ -122,13 +122,13 @@ class TestSumSearch:
 
     def test_no_sum_witnesses_mod_11(self, f11):
         g = subgroup_of_order(f11, 5)
-        report = find_exact_factorizations(f11, g.elements, DecompKind.SUM)
+        report = find_exact_factorizations(f11, g.elements, SetOp.SUM)
         assert report.witnesses == ()
         assert report.exhaustive
 
     def test_witnesses_deduplicated_up_to_swap(self, f13):
         g = subgroup_of_order(f13, 4)
-        report = find_exact_factorizations(f13, g.elements, DecompKind.SUM)
+        report = find_exact_factorizations(f13, g.elements, SetOp.SUM)
         seen = {tuple(sorted((w.a, w.b))) for w in report.witnesses}
         assert len(seen) == len(report.witnesses)
 
@@ -142,11 +142,11 @@ class TestOracleAgreement:
                 st.integers(min_value=1, max_value=p - 1), min_size=1, max_size=p - 1
             ).map(lambda s: ElementSet.from_elements(p, s))
         )
-        report = find_exact_factorizations(ctx, target, DecompKind.PRODUCT)
+        report = find_exact_factorizations(ctx, target, SetOp.PRODUCT)
         engine = sorted(
             canonical_product_witness(ctx, w.a, w.b) for w in report.witnesses
         )
-        assert engine == sorted(factorization_oracle(ctx, target, DecompKind.PRODUCT))
+        assert engine == sorted(factorization_oracle(ctx, target, SetOp.PRODUCT))
 
     @given(st.sampled_from(PRIMES), st.data())
     def test_sum_engine_matches_oracle(self, p, data):
@@ -156,9 +156,9 @@ class TestOracleAgreement:
                 st.integers(min_value=0, max_value=p - 1), min_size=1, max_size=p
             ).map(lambda s: ElementSet.from_elements(p, s))
         )
-        report = find_exact_factorizations(ctx, target, DecompKind.SUM)
+        report = find_exact_factorizations(ctx, target, SetOp.SUM)
         engine = sorted(tuple(sorted((w.a, w.b))) for w in report.witnesses)
-        assert engine == sorted(factorization_oracle(ctx, target, DecompKind.SUM))
+        assert engine == sorted(factorization_oracle(ctx, target, SetOp.SUM))
 
     @given(st.sampled_from(PRIMES), st.sampled_from((1, 3)), st.data())
     def test_product_engine_matches_oracle_at_min_size(self, p, min_size, data):
@@ -168,9 +168,9 @@ class TestOracleAgreement:
                 st.integers(min_value=1, max_value=p - 1), min_size=1, max_size=p - 1
             ).map(lambda s: ElementSet.from_elements(p, s))
         )
-        report = find_exact_factorizations(ctx, target, DecompKind.PRODUCT, min_size)
+        report = find_exact_factorizations(ctx, target, SetOp.PRODUCT, min_size)
         engine = sorted((w.a, w.b) for w in report.witnesses)
-        assert engine == factorization_oracle(ctx, target, DecompKind.PRODUCT, min_size)
+        assert engine == factorization_oracle(ctx, target, SetOp.PRODUCT, min_size)
 
     @given(st.sampled_from(PRIMES), st.sampled_from((1, 3)), st.data())
     def test_sum_engine_matches_oracle_at_min_size(self, p, min_size, data):
@@ -180,9 +180,9 @@ class TestOracleAgreement:
                 st.integers(min_value=0, max_value=p - 1), min_size=1, max_size=p
             ).map(lambda s: ElementSet.from_elements(p, s))
         )
-        report = find_exact_factorizations(ctx, target, DecompKind.SUM, min_size)
+        report = find_exact_factorizations(ctx, target, SetOp.SUM, min_size)
         engine = sorted((w.a, w.b) for w in report.witnesses)
-        assert engine == factorization_oracle(ctx, target, DecompKind.SUM, min_size)
+        assert engine == factorization_oracle(ctx, target, SetOp.SUM, min_size)
 
     @given(st.sampled_from(PRIMES), st.data())
     def test_every_witness_recomposes(self, p, data):
@@ -192,7 +192,7 @@ class TestOracleAgreement:
                 st.integers(min_value=1, max_value=p - 1), min_size=1, max_size=p - 1
             ).map(lambda s: ElementSet.from_elements(p, s))
         )
-        report = find_exact_factorizations(ctx, target, DecompKind.PRODUCT)
+        report = find_exact_factorizations(ctx, target, SetOp.PRODUCT)
         for w in report.witnesses:
             composed = compose_sets(
                 ElementSet.from_elements(p, w.a),
@@ -337,6 +337,27 @@ class TestDifferenceClique:
         assert 2 * k * (k - 1) <= p - 1  # Hanson-Petridis
 
 
+
+# G = {1, 5, 8, 12}, the order-4 subgroup of F_13, searched in F_11: its
+# residues index past the F_11 tables, and the sum search used to report no
+# witness (of 13) as an exhaustive result
+_FOREIGN = ElementSet.from_elements(13, [1, 5, 8, 12])
+
+
+@pytest.mark.parametrize("search", [
+    lambda ctx: find_exact_factorizations(ctx, _FOREIGN, SetOp.SUM),
+    lambda ctx: find_exact_factorizations(ctx, _FOREIGN, SetOp.PRODUCT),
+    lambda ctx: factorization_oracle(ctx, _FOREIGN, SetOp.SUM),
+    lambda ctx: factorization_oracle(ctx, _FOREIGN, SetOp.PRODUCT),
+    lambda ctx: find_ratio_representations(ctx, _FOREIGN),
+    lambda ctx: find_difference_representations(ctx, _FOREIGN.with_element(0)),
+    lambda ctx: max_difference_clique(ctx, subgroup_of_order(make_field(13), 4)),
+], ids=["sum", "product", "sum-oracle", "product-oracle", "ratio", "difference", "clique"])
+def test_target_from_another_field_is_rejected(search):
+    with pytest.raises(ModulusMismatchError):
+        search(make_field(11))
+
+
 ORACLE_PRIMES = (3, 5, 7, 11)
 
 
@@ -457,8 +478,8 @@ class TestSearchSymmetries:
         t = data.draw(st.integers(1, p - 1))
         ctx = make_field(p)
         shifted = ElementSet.from_elements(p, [(x + t) % p for x in target])
-        base = find_exact_factorizations(ctx, target, DecompKind.SUM).witnesses
-        moved = find_exact_factorizations(ctx, shifted, DecompKind.SUM).witnesses
+        base = find_exact_factorizations(ctx, target, SetOp.SUM).witnesses
+        moved = find_exact_factorizations(ctx, shifted, SetOp.SUM).witnesses
         assert base
         # a listed witness is an unordered pair, so translate either part
         ordered = [pair for w in base for pair in ((w.a, w.b), (w.b, w.a))]
@@ -468,7 +489,7 @@ class TestSearchSymmetries:
     @given(_composed_targets(SetOp.SUM))
     def test_sum_witnesses_are_closed_under_opposite_translation(self, case):
         p, target = case
-        report = find_exact_factorizations(make_field(p), target, DecompKind.SUM)
+        report = find_exact_factorizations(make_field(p), target, SetOp.SUM)
         found = {(w.a, w.b) for w in report.witnesses}
         assert found
         for a, b in found:
@@ -481,7 +502,7 @@ class TestSearchSymmetries:
         # (A, B) solves exactly when (gA + t, gB - t) does
         ctx = make_field(p)
         for g in enumerate_proper_subgroups(ctx):
-            report = find_exact_factorizations(ctx, g.elements, DecompKind.SUM)
+            report = find_exact_factorizations(ctx, g.elements, SetOp.SUM)
             found = {(w.a, w.b) for w in report.witnesses}
             for a, b in found:
                 for u in g.elements:
@@ -495,9 +516,9 @@ class TestSearchSymmetries:
         c = data.draw(st.integers(2, p - 1))
         ctx = make_field(p)
         scaled = ElementSet.from_elements(p, [c * x % p for x in target])
-        report = find_exact_factorizations(ctx, target, DecompKind.PRODUCT)
+        report = find_exact_factorizations(ctx, target, SetOp.PRODUCT)
         base = report.witnesses
-        moved = find_exact_factorizations(ctx, scaled, DecompKind.PRODUCT).witnesses
+        moved = find_exact_factorizations(ctx, scaled, SetOp.PRODUCT).witnesses
         assert base
         assert [(w.a, w.b) for w in moved] == sorted(
             {canonical_product_witness(ctx, [c * x % p for x in w.a], w.b) for w in base})

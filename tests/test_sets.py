@@ -20,7 +20,6 @@ from shiftdecomp import (
     enumerate_proper_subgroups,
     make_field,
     primes_in_range,
-    representation_counts,
     subgroup_of_order,
 )
 
@@ -53,14 +52,7 @@ class TestElementSet:
     def test_with_and_without_element(self):
         s = ElementSet.from_elements(7, [1, 4])
         assert s.with_element(0).elements() == (0, 1, 4)
-        assert s.without_element(4).elements() == (1,)
         assert s.with_element(4) == s
-
-    def test_subset_relation(self):
-        small = ElementSet.from_elements(7, [1, 4])
-        big = ElementSet.from_elements(7, [0, 1, 4])
-        assert small.is_subset_of(big)
-        assert not big.is_subset_of(small)
 
     def test_empty_set(self):
         e = ElementSet.from_elements(7, [])
@@ -112,7 +104,7 @@ class TestComposeSets:
         x = data.draw(subsets(p))
         y = data.draw(subsets(p))
         if op is SetOp.RATIO and 0 in y:
-            y = y.without_element(0)
+            y = ElementSet(p, y.mask & ~1)
         combine = {
             SetOp.SUM: lambda a, b: (a + b) % p,
             SetOp.DIFFERENCE: lambda a, b: (a - b) % p,
@@ -127,30 +119,11 @@ class TestComposeSets:
         x = data.draw(subsets(p, min_size=1))
         y = data.draw(subsets(p, min_size=1))
         if op is SetOp.RATIO:
-            y = y.without_element(0)
+            y = ElementSet(p, y.mask & ~1)
             if len(y) == 0:
                 return
         z = compose_sets(x, y, op)
         assert 1 <= len(z) <= min(len(x) * len(y), p)
-
-
-class TestRepresentationCounts:
-    def test_small_sum(self):
-        x = ElementSet.from_elements(7, [1, 2])
-        counts = representation_counts(x, x, SetOp.SUM)
-        assert counts == {2: 1, 3: 2, 4: 1}
-
-    @given(st.sampled_from(PRIMES), st.sampled_from(list(SetOp)), st.data())
-    def test_total_is_cardinality_product(self, p, op, data):
-        x = data.draw(subsets(p, min_size=1))
-        y = data.draw(subsets(p, min_size=1))
-        if op is SetOp.RATIO:
-            y = y.without_element(0)
-            if len(y) == 0:
-                return
-        counts = representation_counts(x, y, op)
-        assert sum(counts.values()) == len(x) * len(y)
-        assert set(counts) == set(compose_sets(x, y, op))
 
 
 class TestAffineImage:
@@ -245,5 +218,5 @@ class TestBuildTarget:
         lam = data.draw(st.integers(min_value=1, max_value=p - 1))
         t = build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=lam)
         assert 0 not in t
-        expected_size = g.order - (1 if lam in g else 0)
+        expected_size = g.order - (1 if lam in g.elements else 0)
         assert len(t) == expected_size

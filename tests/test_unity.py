@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
-import math
 import os
 import subprocess
 import sys
@@ -38,10 +36,6 @@ class TestUnityGroup:
         g = UnityGroup.of_order(12)
         for z in g.elements:
             assert abs(abs(z) - 1.0) < 1e-12
-
-    def test_zeta_is_first_nontrivial_root(self):
-        g = UnityGroup.of_order(6)
-        assert abs(g.zeta - cmath.rect(1.0, math.pi / 3)) < 1e-12
 
     def test_x_values_exclude_zero_node(self):
         g = UnityGroup.of_order(5)

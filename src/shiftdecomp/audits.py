@@ -44,7 +44,7 @@ __all__ = [
     "reproduce_counterexamples",
 ]
 
-ORACLE_MAX = 23
+ORACLE_MAX = 31
 
 
 class AuditKind(Enum):
@@ -120,7 +120,7 @@ def _targets(kind: AuditKind, ctx: FieldContext, subgroup: MultSubgroup):
     elif kind is AuditKind.KALMYNIN_SUM:
         yield {}, subgroup.elements
     else:
-        yield {"clique": max_difference_clique(ctx, subgroup)}, None
+        yield {"clique": max_difference_clique(subgroup)}, None
 
 
 # kind -> searched set operation; the Paley clique audit runs no search

@@ -17,8 +17,7 @@ G union {0}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import MissingZeroError, ModulusMismatchError, ZeroInTargetError
 from .field import FieldContext, MultSubgroup
@@ -222,15 +221,44 @@ def scale_product_report(ctx: FieldContext, report: SearchReport, c: int) -> Sea
                         report.exhaustive, 0)
 
 
+def _intersection_walk(
+    pool: Sequence[int], masks: Sequence[int], a_mask: int, min_size: int, k_lo: int, k_hi: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each combination B of ``pool``, k_lo <= |B| <= k_hi, with |A| >= min_size at every prefix.
+
+    A is ``a_mask`` intersected with ``masks[b]`` for the b of the prefix;
+    yields (B, A), depth-first in pool order.  A prefix whose A has fallen
+    below min_size is never extended: a flat enumeration would reject every
+    combination that starts with it at that prefix.
+    """
+    def walk(start: int, combo: tuple[int, ...], amask: int):
+        if len(combo) >= k_lo:
+            yield combo, amask
+        if len(combo) < k_hi:
+            for i in range(start, len(pool)):
+                b = pool[i]
+                trimmed = amask & masks[b]
+                if trimmed.bit_count() >= min_size:
+                    yield from walk(i + 1, combo + (b,), trimmed)
+
+    return walk(0, (), a_mask)
+
+
 def factorization_oracle(
     ctx: FieldContext, target: ElementSet, kind: SetOp, min_size: int = 2
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Naive reference enumeration of the same canonical witnesses.
 
-    Flat subset enumeration with direct arithmetic and no search pruning
-    beyond the definition itself; intended for p <= 23 cross-checks of the
-    engine.  SUM stays unseeded, B ranging over all of Z_p, so it checks the
-    engine's translation reduction independently.
+    B is walked depth-first over subsets of its candidates, A is the
+    intersection of the T/b (products, 1 in B) or the T - b (sums), and each
+    (A, B) is checked by direct arithmetic.  The walk stops only by the
+    definition: a prefix of B whose A has fewer than min_size elements is not
+    extended.  A only shrinks as B grows, so every combination below such a
+    prefix fails too, and the walk checks exactly the combinations a flat
+    enumeration would.  It uses nothing of the engine (no discrete logs, no
+    seeding, no cover cut) and is meant for p <= 31 cross-checks.  SUM stays
+    unseeded, B ranging over all of Z_p, so it checks the engine's
+    translation reduction independently.
     """
     _require_field(ctx, target)
     p = ctx.p
@@ -243,43 +271,29 @@ def factorization_oracle(
         if 0 in target:
             raise ZeroInTargetError("product factorization target must avoid 0")
         smask = target.mask
-        inv_masks = {}
+        inv_masks = [0] * p
         for b in range(2, p):
             binv = ctx.inv_table[b]
-            m = 0
             for s in target:
-                m |= 1 << (s * binv % p)
-            inv_masks[b] = m
+                inv_masks[b] |= 1 << (s * binv % p)
         universe = [b for b in range(2, p) if (inv_masks[b] & smask).bit_count() >= min_size]
         top = min(size - 1, len(universe))
-        for k in range(min_size - 1, top + 1):
-            for combo in combinations(universe, k):
-                amask = smask
-                for b in combo:
-                    amask &= inv_masks[b]
-                    if amask.bit_count() < min_size:
-                        break
-                else:
-                    a_elems = _mask_to_tuple(amask)
-                    b_elems = (1,) + combo
-                    covered = {a * b % p for b in b_elems for a in a_elems}
-                    if covered == tset:
-                        found.add(canonical_product_witness(ctx, a_elems, b_elems))
+        for combo, amask in _intersection_walk(universe, inv_masks, smask, min_size,
+                                               min_size - 1, top):
+            a_elems = _mask_to_tuple(amask)
+            b_elems = (1,) + combo
+            covered = {a * b % p for b in b_elems for a in a_elems}
+            if covered == tset:
+                found.add(canonical_product_witness(ctx, a_elems, b_elems))
     elif kind is SetOp.SUM:
         full = (1 << p) - 1
         shifted = [_rotate(target.mask, (p - b) % p, p, full) for b in range(p)]
-        for k in range(min_size, min(size, p) + 1):
-            for combo in combinations(range(p), k):
-                amask = full
-                for b in combo:
-                    amask &= shifted[b]
-                    if amask.bit_count() < min_size:
-                        break
-                else:
-                    a_elems = _mask_to_tuple(amask)
-                    covered = {(a + b) % p for b in combo for a in a_elems}
-                    if covered == tset:
-                        found.add(tuple(sorted((a_elems, combo))))
+        for combo, amask in _intersection_walk(range(p), shifted, full, min_size,
+                                               min_size, min(size, p)):
+            a_elems = _mask_to_tuple(amask)
+            covered = {(a + b) % p for b in combo for a in a_elems}
+            if covered == tset:
+                found.add(tuple(sorted((a_elems, combo))))
     else:
         raise ValueError(f"unsupported factorization kind: {kind!r}")
     return sorted(found)
@@ -378,11 +392,10 @@ def find_difference_representations(ctx: FieldContext, target: ElementSet) -> Se
     return _report(ctx.p, SetOp.DIFFERENCE, [(w,) for w in sorted(witnesses)], nodes)
 
 
-def max_difference_clique(ctx: FieldContext, subgroup: MultSubgroup) -> int:
+def max_difference_clique(subgroup: MultSubgroup) -> int:
     """Largest |A| with A - A inside G union {0} (ordered differences)."""
-    _require_field(ctx, subgroup.elements)
     # translate A to contain 0; if -1 is outside G, x and -x are never both
     # differences, so the graph is the single vertex 0
     target = subgroup.elements.with_element(0)
-    cliques, _ = _maximal_cliques(*_difference_graph(ctx.p, target.mask))
+    cliques, _ = _maximal_cliques(*_difference_graph(subgroup.ctx.p, target.mask))
     return max(c.bit_count() for c in cliques)

@@ -65,7 +65,7 @@ def test_criterion_2_product_audit():
         2,
         ok,
         f"{len(records)} (p, G, lambda) tasks, 0 witnesses, oracle-checked "
-        f"p<=23, in {elapsed:.1f}s (budget {budget:.0f}s)",
+        f"p<=31, in {elapsed:.1f}s (budget {budget:.0f}s)",
     )
 
 
@@ -161,8 +161,7 @@ def test_criterion_6_clique_bound():
     # p = 41 is proved by hand below rather than taken from the engine.
     budget = 120.0
     start = time.perf_counter()
-    ctx17 = make_field(17)
-    paley17 = max_difference_clique(ctx17, subgroup_of_order(ctx17, 8))
+    paley17 = max_difference_clique(subgroup_of_order(make_field(17), 8))
     with pytest.raises(TheoremViolation) as refutation:
         audit_theorems(17, 101, AuditKind.PALEY_CLIQUE)
     violation = refutation.value.record

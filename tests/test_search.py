@@ -283,22 +283,22 @@ class TestDifferenceRepresentations:
 class TestDifferenceClique:
     def test_paley_17(self):
         ctx = make_field(17)
-        assert max_difference_clique(ctx, subgroup_of_order(ctx, 8)) == 3
+        assert max_difference_clique(subgroup_of_order(ctx, 8)) == 3
 
     def test_order_two_mod_5(self):
         ctx = make_field(5)
-        assert max_difference_clique(ctx, subgroup_of_order(ctx, 2)) == 2
+        assert max_difference_clique(subgroup_of_order(ctx, 2)) == 2
 
     def test_full_group_gives_whole_field(self, f7):
         # differences land anywhere, so the whole field is a clique
-        assert max_difference_clique(f7, subgroup_of_order(f7, 6)) == 7
+        assert max_difference_clique(subgroup_of_order(f7, 6)) == 7
 
     @pytest.mark.parametrize(
         "p,expected", [(17, 3), (29, 4), (37, 4), (41, 5), (53, 5)]
     )
     def test_known_paley_clique_numbers(self, p, expected):
         ctx = make_field(p)
-        assert max_difference_clique(ctx, subgroup_of_order(ctx, (p - 1) // 2)) == expected
+        assert max_difference_clique(subgroup_of_order(ctx, (p - 1) // 2)) == expected
 
     @given(st.sampled_from(PRIMES), st.data())
     def test_clique_matches_brute_force(self, p, data):
@@ -317,7 +317,7 @@ class TestDifferenceClique:
             ):
                 best = size
                 break
-        assert max_difference_clique(ctx, g) == best
+        assert max_difference_clique(g) == best
 
     @pytest.mark.parametrize("p", [p for p in range(17, 102, 4)
                                    if all(p % d for d in range(2, p))])
@@ -333,7 +333,7 @@ class TestDifferenceClique:
 
         k = 2 + largest([x for x in range(2, p) if x in squares and x - 1 in squares])
         ctx = make_field(p)
-        assert max_difference_clique(ctx, subgroup_of_order(ctx, (p - 1) // 2)) == k
+        assert max_difference_clique(subgroup_of_order(ctx, (p - 1) // 2)) == k
         assert 2 * k * (k - 1) <= p - 1  # Hanson-Petridis
 
 
@@ -351,8 +351,7 @@ _FOREIGN = ElementSet.from_elements(13, [1, 5, 8, 12])
     lambda ctx: factorization_oracle(ctx, _FOREIGN, SetOp.PRODUCT),
     lambda ctx: find_ratio_representations(ctx, _FOREIGN),
     lambda ctx: find_difference_representations(ctx, _FOREIGN.with_element(0)),
-    lambda ctx: max_difference_clique(ctx, subgroup_of_order(make_field(13), 4)),
-], ids=["sum", "product", "sum-oracle", "product-oracle", "ratio", "difference", "clique"])
+], ids=["sum", "product", "sum-oracle", "product-oracle", "ratio", "difference"])
 def test_target_from_another_field_is_rejected(search):
     with pytest.raises(ModulusMismatchError):
         search(make_field(11))

@@ -75,8 +75,8 @@ class FieldContext:
     nonzero residues become sums of exponents mod p - 1.
     """
 
-    __slots__ = ("p", "primitive_root", "inv_table", "factorial", "inv_factorial",
-                 "power_table", "dlog_table")
+    __slots__ = ("p", "primitive_root", "inv_table", "power_table", "dlog_table",
+                 "_factorials")
 
     def __init__(self, p: int):
         # callers go through make_field, which validates p
@@ -85,16 +85,8 @@ class FieldContext:
         inv[1] = 1
         for x in range(2, p):
             inv[x] = (p - (p // x) * inv[p % x]) % p
-        fact = [1] * p
-        for k in range(1, p):
-            fact[k] = fact[k - 1] * k % p
-        inv_fact = [1] * p
-        inv_fact[p - 1] = pow(fact[p - 1], p - 2, p)
-        for k in range(p - 1, 0, -1):
-            inv_fact[k - 1] = inv_fact[k] * k % p
         self.inv_table = tuple(inv)
-        self.factorial = tuple(fact)
-        self.inv_factorial = tuple(inv_fact)
+        self._factorials: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self.primitive_root = g = _smallest_primitive_root(p)
         powers = [1] * (p - 1)
         dlog = [0] * p
@@ -104,27 +96,48 @@ class FieldContext:
         self.power_table = tuple(powers)
         self.dlog_table = tuple(dlog)
 
+    def _factorial_tables(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """k! and 1/k! mod p for k < p, built on first use.
+
+        Only ``binomial`` and the Stepanov derivative check read them, so a
+        field that only searches never pays for them.
+        """
+        if self._factorials is None:
+            p = self.p
+            fact = [1] * p
+            for k in range(1, p):
+                fact[k] = fact[k - 1] * k % p
+            inv_fact = [1] * p
+            inv_fact[p - 1] = pow(fact[p - 1], p - 2, p)
+            for k in range(p - 1, 0, -1):
+                inv_fact[k - 1] = inv_fact[k] * k % p
+            self._factorials = (tuple(fact), tuple(inv_fact))
+        return self._factorials
+
+    @property
+    def factorial(self) -> tuple[int, ...]:
+        """k! mod p for 0 <= k < p."""
+        return self._factorial_tables()[0]
+
+    @property
+    def inv_factorial(self) -> tuple[int, ...]:
+        """1/k! mod p for 0 <= k < p."""
+        return self._factorial_tables()[1]
+
     def binomial(self, n: int, k: int) -> int:
         """C(n, k) mod p via factorial tables, with Lucas digits once n reaches p."""
         if k < 0 or k > n:
             return 0
         p = self.p
+        fact, inv_fact = self._factorials or self._factorial_tables()
         if n < p:
-            return self.factorial[n] * self.inv_factorial[k] % p * self.inv_factorial[n - k] % p
+            return fact[n] * inv_fact[k] % p * inv_fact[n - k] % p
         result = 1
         while n or k:
             ni, ki = n % p, k % p
             if ki > ni:
                 return 0
-            result = (
-                result
-                * self.factorial[ni]
-                % p
-                * self.inv_factorial[ki]
-                % p
-                * self.inv_factorial[ni - ki]
-                % p
-            )
+            result = result * fact[ni] % p * inv_fact[ki] % p * inv_fact[ni - ki] % p
             n //= p
             k //= p
         return result

@@ -5,8 +5,11 @@ A + B = T on Z_p for sums, and the same search on discrete logs (n = p - 1)
 for products, where scaling becomes a cyclic shift of the membership mask.
 The engine is seeded with 0 in B, since (A + t, B - t) solves whenever
 (A, B) does; sums list every translate again, products keep the
-scaling-canonical witness.  It prunes by one rule: a branch stops when A + B
-together with every still-usable translate of A cannot cover T.
+scaling-canonical witness.  It branches like an exact-cover search: while
+A + B misses part of T, it picks the missing element with the fewest usable
+shifts and tries each of them, dropping the earlier ones from later branches,
+so every B is listed exactly once.  A branch stops when A + B together with
+every still-usable translate of A cannot cover T.
 Representation searches share one difference-set engine over Z_n: A - A = T
 is a Bron-Kerbosch enumeration of the maximal cliques of the difference graph
 of T, A/A = T is the same search on discrete logs (n = p - 1), and the
@@ -103,6 +106,38 @@ def _log_mask(ctx: FieldContext, target: ElementSet) -> int:
     return mask
 
 
+def _fewest_options(translates: Sequence[int], missing: int) -> list[int]:
+    """Indices of the translates that hold the most constrained missing element.
+
+    Each element of ``missing`` lies in at least one translate.  The chosen
+    element lies in the fewest, and among those it has the lexicographically
+    least list of indices.  The rule reads only counts and indices, never the
+    position of the element in Z_n, so it commutes with rotating T.
+    """
+    planes: list[int] = []  # planes[k] holds bit k of each element's count
+    for x in translates:
+        carry = x & missing
+        k = 0
+        while carry:
+            if k == len(planes):
+                planes.append(carry)
+                break
+            plane = planes[k]
+            planes[k] = plane ^ carry
+            carry &= plane
+            k += 1
+    fewest = missing
+    for plane in reversed(planes):
+        if fewest & ~plane:
+            fewest &= ~plane
+    chosen = []
+    for i, x in enumerate(translates):
+        if x & fewest:
+            chosen.append(i)
+            fewest &= x
+    return chosen
+
+
 def _translate_cover(
     n: int, tmask: int, min_size: int
 ) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
@@ -111,15 +146,21 @@ def _translate_cover(
     T is the bitmask ``tmask`` and A is the maximal set for its B, the
     intersection of the T - b.  A + B = T is invariant under
     (A, B) -> (A + t, B - t), so seeding 0 into B loses nothing up to
-    translation.  B grows from {0} along the shifts s whose T & (T - s) keeps
-    min_size elements, fewest first (ties by s).
+    translation.  The shifts s whose T & (T - s) keeps min_size elements form
+    the pool, fewest first (ties by s); B is listed in the order it grew.
 
-    One pruning rule: a node's usable shifts are the later ones that keep
-    min_size elements of A & (T - s), and the subtree is cut when A + B
-    together with every usable (A & (T - s)) + s still misses part of T.
-    Below the node A only shrinks and B only gains usable shifts, so every
-    sumset there lies inside that union; the union lies inside T, so
-    equality means it may still cover.
+    A node's usable shifts are the pool shifts that keep min_size elements of
+    A & (T - s).  Below the node A only shrinks and B only gains usable
+    shifts, so every sumset there lies inside A + B together with every usable
+    (A & (T - s)) + s; when that union misses part of T, the subtree is cut.
+    Otherwise the node branches over a list of options.  When A + B = T the
+    node lists (A, B), and its options are all its usable shifts.  When A + B
+    misses part of T, every completion must add a usable shift whose
+    translate holds the missing t, so the options are those shifts for the
+    missing t that has the fewest (``_fewest_options``).  Branch i adds option
+    i and drops options 0..i from its pool.  A completion is reached in the
+    branch of the first option it holds and in no other, so each B is listed
+    exactly once.
     """
     full = (1 << n) - 1
     allowed = [_rotate(tmask, -s % n, n, full) for s in range(n)]  # T - s
@@ -137,17 +178,27 @@ def _translate_cover(
             covered |= _rotate(a_mask, s, n, full)
         if covered == tmask and len(b_shifts) >= min_size:
             results.append((a_mask, tuple(b_shifts)))
-        usable = []
+        usable, translates = [], []
+        reach = covered
         for s in pool:
             trimmed = a_mask & allowed[s]
             if trimmed.bit_count() >= min_size:
+                x = _rotate(trimmed, s, n, full)
                 usable.append(s)
-                covered |= _rotate(trimmed, s, n, full)
-        if covered != tmask:
+                translates.append(x)
+                reach |= x
+        if reach != tmask:
             return
-        for i, s in enumerate(usable):
+        if covered == tmask:
+            options: Sequence[int] = range(len(usable))
+        else:
+            options = _fewest_options(translates, tmask & ~covered)
+        rest = usable
+        for i in options:
+            s = usable[i]
+            rest = [u for u in rest if u != s]
             b_shifts.append(s)
-            recurse(a_mask & allowed[s], b_shifts, usable[i + 1:])
+            recurse(a_mask & allowed[s], b_shifts, rest)
             b_shifts.pop()
 
     recurse(tmask, [0], universe)

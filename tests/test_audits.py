@@ -338,7 +338,7 @@ class TestSearchWork:
 
     @pytest.mark.parametrize(
         "kind,nodes",
-        [(AuditKind.SARKOZY_PRODUCT, 240), (AuditKind.KALMYNIN_SUM, 452)],
+        [(AuditKind.SARKOZY_PRODUCT, 120), (AuditKind.KALMYNIN_SUM, 200)],
     )
     def test_summed_nodes(self, kind, nodes):
         recs = audit_theorems(3, 23, kind)

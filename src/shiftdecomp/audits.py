@@ -144,22 +144,22 @@ def _witnesses(report, target: ElementSet) -> list[dict]:
     return out
 
 
-def _cross_check_oracle(ctx, target, kind: SetOp, report) -> None:
-    expected = factorization_oracle(ctx, target, kind)
+def _cross_check_oracle(target: ElementSet, kind: SetOp, report) -> None:
+    expected = factorization_oracle(target, kind)
     got = sorted((w.a, w.b) for w in report.witnesses)
     if got != expected:
         raise InternalMismatchError(
-            f"search/oracle mismatch at p={ctx.p}, target {tuple(target)}: "
+            f"search/oracle mismatch at p={target.p}, target {tuple(target)}: "
             f"{got} vs {expected}"
         )
 
 
-def _search(ctx: FieldContext, target: ElementSet, kind: SetOp):
+def _search(target: ElementSet, kind: SetOp):
     if kind is SetOp.RATIO:
-        return find_ratio_representations(ctx, target)
+        return find_ratio_representations(target)
     if kind is SetOp.DIFFERENCE:
-        return find_difference_representations(ctx, target)
-    return find_exact_factorizations(ctx, target, kind)
+        return find_difference_representations(target)
+    return find_exact_factorizations(target, kind)
 
 
 def _execute_task(task: tuple) -> list[dict]:
@@ -187,9 +187,9 @@ def _execute_task(task: tuple) -> list[dict]:
                 # G - lambda = lambda * (G - 1): scale the lambda = 1 report
                 report = scale_product_report(ctx, base, params["lambda"])
             else:
-                report = base = _search(ctx, target, search_kind)
+                report = base = _search(target, search_kind)
             if cross_check:
-                _cross_check_oracle(ctx, target, search_kind, report)
+                _cross_check_oracle(target, search_kind, report)
             witnesses, exhaustive, nodes = (_witnesses(report, target), report.exhaustive,
                                             report.nodes)
         end = time.perf_counter()

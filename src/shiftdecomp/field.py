@@ -68,15 +68,16 @@ def proper_orders(p: int) -> list[int]:
 
 
 class FieldContext:
-    """Immutable F_p arithmetic context with inverse, factorial and log tables.
+    """Immutable F_p arithmetic context with inverse and log tables.
 
     ``power_table[e]`` is g^e for the primitive root g and ``dlog_table`` is
     its inverse on F_p^* (``dlog_table[0]`` is unused), so products of
-    nonzero residues become sums of exponents mod p - 1.
+    nonzero residues become sums of exponents mod p - 1.  A function given an
+    ElementSet, MultSubgroup or DensePoly takes its context from that input
+    (``make_field(x.p)`` or ``subgroup.ctx``), never as a second argument.
     """
 
-    __slots__ = ("p", "primitive_root", "inv_table", "power_table", "dlog_table",
-                 "_factorials")
+    __slots__ = ("p", "primitive_root", "inv_table", "power_table", "dlog_table")
 
     def __init__(self, p: int):
         # callers go through make_field, which validates p
@@ -86,7 +87,6 @@ class FieldContext:
         for x in range(2, p):
             inv[x] = (p - (p // x) * inv[p % x]) % p
         self.inv_table = tuple(inv)
-        self._factorials: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self.primitive_root = g = _smallest_primitive_root(p)
         powers = [1] * (p - 1)
         dlog = [0] * p
@@ -95,52 +95,6 @@ class FieldContext:
             dlog[powers[e]] = e
         self.power_table = tuple(powers)
         self.dlog_table = tuple(dlog)
-
-    def _factorial_tables(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """k! and 1/k! mod p for k < p, built on first use.
-
-        Only ``binomial`` and the Stepanov derivative check read them, so a
-        field that only searches never pays for them.
-        """
-        if self._factorials is None:
-            p = self.p
-            fact = [1] * p
-            for k in range(1, p):
-                fact[k] = fact[k - 1] * k % p
-            inv_fact = [1] * p
-            inv_fact[p - 1] = pow(fact[p - 1], p - 2, p)
-            for k in range(p - 1, 0, -1):
-                inv_fact[k - 1] = inv_fact[k] * k % p
-            self._factorials = (tuple(fact), tuple(inv_fact))
-        return self._factorials
-
-    @property
-    def factorial(self) -> tuple[int, ...]:
-        """k! mod p for 0 <= k < p."""
-        return self._factorial_tables()[0]
-
-    @property
-    def inv_factorial(self) -> tuple[int, ...]:
-        """1/k! mod p for 0 <= k < p."""
-        return self._factorial_tables()[1]
-
-    def binomial(self, n: int, k: int) -> int:
-        """C(n, k) mod p via factorial tables, with Lucas digits once n reaches p."""
-        if k < 0 or k > n:
-            return 0
-        p = self.p
-        fact, inv_fact = self._factorials or self._factorial_tables()
-        if n < p:
-            return fact[n] * inv_fact[k] % p * inv_fact[n - k] % p
-        result = 1
-        while n or k:
-            ni, ki = n % p, k % p
-            if ki > ni:
-                return 0
-            result = result * fact[ni] % p * inv_fact[ki] % p * inv_fact[ni - ki] % p
-            n //= p
-            k //= p
-        return result
 
     def __repr__(self) -> str:
         return f"FieldContext(p={self.p})"
@@ -160,12 +114,15 @@ def make_field(p: int) -> FieldContext:
 
 
 class MultSubgroup:
-    """The unique multiplicative subgroup of F_p^* of a given order."""
+    """The unique multiplicative subgroup of F_p^* of a given order.
+
+    Its field is the one its elements lie in; subgroup_of_order builds it.
+    """
 
     __slots__ = ("ctx", "order", "elements")
 
-    def __init__(self, ctx: FieldContext, order: int, elements: ElementSet):
-        self.ctx = ctx
+    def __init__(self, order: int, elements: ElementSet):
+        self.ctx = make_field(elements.p)
         self.order = order
         self.elements = elements
 
@@ -197,7 +154,7 @@ def subgroup_of_order(ctx: FieldContext, d: int) -> MultSubgroup:
     for _ in range(d):
         mask |= 1 << x
         x = x * gen % ctx.p
-    return MultSubgroup(ctx, d, ElementSet(ctx.p, mask))
+    return MultSubgroup(d, ElementSet(ctx.p, mask))
 
 
 def enumerate_proper_subgroups(ctx: FieldContext) -> list[MultSubgroup]:

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import MissingZeroError, ModulusMismatchError, ZeroInTargetError
-from .field import FieldContext, MultSubgroup
+from .errors import MissingZeroError, ZeroElementError, ZeroInTargetError
+from .field import FieldContext, MultSubgroup, make_field
 from .sets import ElementSet, SetOp, compose_sets
 
 
@@ -76,25 +76,22 @@ def canonical_product_witness(
     Every solution (A, B) is equivalent to (cA, c^-1 B) for nonzero c, and
     products commute, so (A, B) and (B, A) are the same factorization.  For
     each ordering, each c^-1 in the second factor puts 1 into it; the witness
-    form is the lexicographically least of these rescaled pairs.
+    form is the lexicographically least of these rescaled pairs.  A factor
+    holding 0 has no such form and raises ZeroElementError.
     """
     p = ctx.p
     a = tuple(x % p for x in a_elems)
     b = tuple(x % p for x in b_elems)
     if not a or not b:
         raise ValueError("cannot normalize an empty factor")
+    if 0 in a or 0 in b:
+        raise ZeroElementError("product factors must avoid 0")
     inv = ctx.inv_table
     return min(
         (tuple(sorted(x * c % p for x in first)), tuple(sorted(x * inv[c] % p for x in second)))
         for first, second in ((a, b), (b, a))
         for c in second
     )
-
-
-def _require_field(ctx: FieldContext, target: ElementSet) -> None:
-    """Reject a target from another field; its residues would index foreign tables."""
-    if target.p != ctx.p:
-        raise ModulusMismatchError(f"target modulus {target.p} differs from the field's {ctx.p}")
 
 
 def _log_mask(ctx: FieldContext, target: ElementSet) -> int:
@@ -220,10 +217,10 @@ def _product_search(
 
 
 def _sum_search(
-    ctx: FieldContext, target: ElementSet, min_size: int
+    target: ElementSet, min_size: int
 ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
     """Sums over Z_p; each seeded witness stands for its p translates (A + t, B - t)."""
-    p = ctx.p
+    p = target.p
     raw, nodes = _translate_cover(p, target.mask, min_size)
     canon = set()
     for a_mask, b_shifts in raw:
@@ -237,10 +234,13 @@ def _sum_search(
 
 
 def find_exact_factorizations(
-    ctx: FieldContext, target: ElementSet, kind: SetOp, min_size: int = 2
+    target: ElementSet, kind: SetOp, min_size: int = 2
 ) -> SearchReport:
-    """Complete canonical list of (A, B) with A op B = target and |A|,|B| >= min_size."""
-    _require_field(ctx, target)
+    """Complete canonical list of (A, B) with A op B = target and |A|,|B| >= min_size.
+
+    The search runs in the target's own field F_p.
+    """
+    ctx = make_field(target.p)
     if not target:
         raise ValueError("factorization search needs a nonempty target")
     if kind is SetOp.PRODUCT:
@@ -248,7 +248,7 @@ def find_exact_factorizations(
             raise ZeroInTargetError("product factorization target must avoid 0")
         pairs, nodes = _product_search(ctx, target, min_size)
     elif kind is SetOp.SUM:
-        pairs, nodes = _sum_search(ctx, target, min_size)
+        pairs, nodes = _sum_search(target, min_size)
     else:
         raise ValueError(f"unsupported factorization kind: {kind!r}")
     return _report(ctx.p, kind, pairs, nodes)
@@ -296,7 +296,7 @@ def _intersection_walk(
 
 
 def factorization_oracle(
-    ctx: FieldContext, target: ElementSet, kind: SetOp, min_size: int = 2
+    target: ElementSet, kind: SetOp, min_size: int = 2
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Naive reference enumeration of the same canonical witnesses.
 
@@ -309,9 +309,10 @@ def factorization_oracle(
     enumeration would.  It uses nothing of the engine (no discrete logs, no
     seeding, no cover cut) and is meant for p <= 31 cross-checks.  SUM stays
     unseeded, B ranging over all of Z_p, so it checks the engine's
-    translation reduction independently.
+    translation reduction independently.  Like the search, it runs in the
+    target's own field.
     """
-    _require_field(ctx, target)
+    ctx = make_field(target.p)
     p = ctx.p
     size = len(target)
     if size == 0:
@@ -421,9 +422,9 @@ def _difference_representations(n: int, tmask: int) -> tuple[list[tuple[int, ...
     return witnesses, nodes
 
 
-def find_ratio_representations(ctx: FieldContext, target: ElementSet) -> SearchReport:
+def find_ratio_representations(target: ElementSet) -> SearchReport:
     """All maximal A (1 in A) with A/A = target; the difference search on discrete logs."""
-    _require_field(ctx, target)
+    ctx = make_field(target.p)
     if 0 in target:
         raise ZeroInTargetError("ratio representation target must avoid 0")
     witnesses: list[tuple[int, ...]] = []
@@ -434,13 +435,13 @@ def find_ratio_representations(ctx: FieldContext, target: ElementSet) -> SearchR
     return _report(ctx.p, SetOp.RATIO, [(w,) for w in witnesses], nodes)
 
 
-def find_difference_representations(ctx: FieldContext, target: ElementSet) -> SearchReport:
+def find_difference_representations(target: ElementSet) -> SearchReport:
     """All maximal A (0 in A) with A-A = target; complete via clique enumeration."""
-    _require_field(ctx, target)
+    p = make_field(target.p).p
     if 0 not in target:
         raise MissingZeroError("difference representation target must contain 0")
-    witnesses, nodes = _difference_representations(ctx.p, target.mask)
-    return _report(ctx.p, SetOp.DIFFERENCE, [(w,) for w in sorted(witnesses)], nodes)
+    witnesses, nodes = _difference_representations(p, target.mask)
+    return _report(p, SetOp.DIFFERENCE, [(w,) for w in sorted(witnesses)], nodes)
 
 
 def max_difference_clique(subgroup: MultSubgroup) -> int:

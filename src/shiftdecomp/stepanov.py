@@ -4,23 +4,26 @@ Given A = {a_1..a_n} the coefficients c_i solve sum(c_i) = 1 with the first
 n-1 moments zero; the auxiliary polynomial built from them vanishes to high
 order on any B with AB + lam inside G union {0}, which forces the size bounds
 checked here.  Everything is exact mod p; multiplicities come from synthetic
-division only.
+division only.  Each function works in the field of the sets, polynomial or
+subgroup it is given, and several inputs must share one modulus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, factorial
 
 from .errors import (
     BoundViolationError,
     FactorialOverflowError,
     HypothesisViolatedError,
     InternalMismatchError,
+    ModulusMismatchError,
     UnexpectedRootError,
     ZeroElementError,
     ZeroParameterError,
 )
-from .field import FieldContext, MultSubgroup
+from .field import FieldContext, MultSubgroup, make_field
 from .poly import DensePoly, root_multiplicity
 from .sets import ElementSet
 
@@ -46,6 +49,15 @@ def _moments(p: int, a, c, count: int) -> list[int]:
     return moments
 
 
+def _subgroup_field(subgroup: MultSubgroup, *sets: ElementSet) -> FieldContext:
+    """The subgroup's field, once every set is checked to lie in it."""
+    ctx = subgroup.ctx
+    for s in sets:
+        if s.p != ctx.p:
+            raise ModulusMismatchError(f"set modulus {s.p} differs from the subgroup's {ctx.p}")
+    return ctx
+
+
 def _solve_linear_system(p: int, matrix: list[list[int]], rhs: list[int]) -> list[int]:
     n = len(matrix)
     rows = [list(row) + [r % p] for row, r in zip(matrix, rhs)]
@@ -64,7 +76,7 @@ def _solve_linear_system(p: int, matrix: list[list[int]], rhs: list[int]) -> lis
     return [rows[i][n] for i in range(n)]
 
 
-def solve_coefficients(ctx: FieldContext, a_set: ElementSet) -> tuple[int, ...]:
+def solve_coefficients(a_set: ElementSet) -> tuple[int, ...]:
     """Coefficients c_i, in the order of a_set.elements(), computed two
     independent ways and cross-checked.
 
@@ -74,7 +86,7 @@ def solve_coefficients(ctx: FieldContext, a_set: ElementSet) -> tuple[int, ...]:
     moment invariants sum(c_i) = 1 and sum(c_i a_i^j) = 0 for 1 <= j <= n-1
     are asserted.
     """
-    p = ctx.p
+    p = make_field(a_set.p).p
     a = a_set.elements()
     if not a:
         raise ValueError("coefficient system needs at least one node")
@@ -108,26 +120,22 @@ def solve_coefficients(ctx: FieldContext, a_set: ElementSet) -> tuple[int, ...]:
     return tuple(closed)
 
 
-def build_auxiliary_polynomial(
-    ctx: FieldContext,
-    a_set: ElementSet,
-    lam: int,
-    g_order: int,
-) -> DensePoly:
+def build_auxiliary_polynomial(a_set: ElementSet, lam: int, g_order: int) -> DensePoly:
     """f(x) = -lam^(n-1) + sum c_i (a_i x + lam)^(n-1+g_order), expanded exactly.
 
-    Expansion goes through binomial tables: the x^k coefficient collapses to
+    With N = n-1+g_order, the x^k coefficient collapses to
     binom(N, k) lam^(N-k) M_k with M_k the k-th moment of the c_i, so the
-    x^1..x^(n-1) window vanishes by construction and is asserted.
+    x^1..x^(n-1) window vanishes by construction and is asserted.  The
+    binomials are math.comb reduced mod p, exact also for N >= p.
     """
-    p = ctx.p
+    p = make_field(a_set.p).p
     lam %= p
     if lam == 0:
         raise ZeroParameterError("shift parameter must be nonzero")
     if g_order < 1:
         raise ValueError("subgroup order must be positive")
     a = a_set.elements()
-    c = solve_coefficients(ctx, a_set)
+    c = solve_coefficients(a_set)
     n = len(a)
     cap = n - 1 + g_order
     moments = _moments(p, a, c, cap + 1)
@@ -137,7 +145,7 @@ def build_auxiliary_polynomial(
         lam_pows[k] = lam_pows[k - 1] * lam % p
 
     coeffs = [
-        ctx.binomial(cap, k) * lam_pows[cap - k] % p * moments[k] % p for k in range(cap + 1)
+        comb(cap, k) % p * lam_pows[cap - k] % p * moments[k] % p for k in range(cap + 1)
     ]
     coeffs[0] = (coeffs[0] - lam_pows[n - 1]) % p
     for k in range(1, n):
@@ -177,7 +185,6 @@ class AuxAudit:
 
 
 def audit_instance(
-    ctx: FieldContext,
     a_set: ElementSet,
     b_set: ElementSet,
     lam: int,
@@ -189,8 +196,10 @@ def audit_instance(
     degree window, the zero-root obligations when lam lies in G, both size
     bounds, and the exact factorization whenever the degree bound is tight.
     Violations of theorem-level claims raise BoundViolationError; a vanishing
-    f is recorded as an anomaly instead of being assumed impossible.
+    f is recorded as an anomaly instead of being assumed impossible.  A, B
+    and G must share one field; otherwise ModulusMismatchError is raised.
     """
+    ctx = _subgroup_field(subgroup, a_set, b_set)
     p = ctx.p
     a = a_set.elements()
     b = b_set.elements()
@@ -220,7 +229,7 @@ def audit_instance(
     r = len(r_elements)
     r_set = set(r_elements)
 
-    f = build_auxiliary_polynomial(ctx, a_set, lam, g_order)
+    f = build_auxiliary_polynomial(a_set, lam, g_order)
     cap = n - 1 + g_order
     multiplicities = []
     zero_multiplicity = None
@@ -288,10 +297,13 @@ def audit_instance(
 
 
 def check_hp_additive_bound(
-    ctx: FieldContext, a_set: ElementSet, b_set: ElementSet, subgroup: MultSubgroup
+    a_set: ElementSet, b_set: ElementSet, subgroup: MultSubgroup
 ) -> bool:
-    """|A||B| <= |G| + |(-A) & B| for any A, B with A + B inside G union {0}."""
-    p = ctx.p
+    """|A||B| <= |G| + |(-A) & B| for any A, B with A + B inside G union {0}.
+
+    A, B and G must share one field; otherwise ModulusMismatchError is raised.
+    """
+    p = _subgroup_field(subgroup, a_set, b_set).p
     target = subgroup.elements.with_element(0)
     for ai in a_set:
         for bj in b_set:
@@ -303,15 +315,15 @@ def check_hp_additive_bound(
     return len(a_set) * len(b_set) <= subgroup.order + overlap
 
 
-def check_gf_identity(ctx: FieldContext, a_set: ElementSet) -> bool:
+def check_gf_identity(a_set: ElementSet) -> bool:
     """Cross-multiplied rational identity of the coefficient solution.
 
     sum_i c_i a_i^n prod_{j != i} (1 - a_j x) must equal the constant
     (-1)^(n-1) prod a_i as an exact polynomial.
     """
-    p = ctx.p
+    p = make_field(a_set.p).p
     a = a_set.elements()
-    c = solve_coefficients(ctx, a_set)
+    c = solve_coefficients(a_set)
     n = len(a)
     lhs = DensePoly.zero(p)
     for i, ai in enumerate(a):
@@ -327,12 +339,13 @@ def check_gf_identity(ctx: FieldContext, a_set: ElementSet) -> bool:
     return lhs == DensePoly.constant(p, sign * prod_all % p)
 
 
-def check_derivative_ratio(ctx: FieldContext, h: DensePoly, b: int, n: int) -> bool:
+def check_derivative_ratio(h: DensePoly, b: int, n: int) -> bool:
     """Derivative identities for f = (x-b)^n h with h(b) != 0.
 
     Verifies f^(n)(b) = n! h(b), f^(n+1)(b) = (n+1)! h'(b), and the resulting
     ratio h'(b)/h(b) = f^(n+1)(b) / ((n+1) f^(n)(b)).
     """
+    ctx = make_field(h.p)
     p = ctx.p
     if n < 1:
         raise ValueError("multiplicity must be at least 1")
@@ -348,18 +361,19 @@ def check_derivative_ratio(ctx: FieldContext, h: DensePoly, b: int, n: int) -> b
         d = d.derivative()
     fn_b = d.evaluate(b)
     fn1_b = d.derivative().evaluate(b)
-    if fn_b != ctx.factorial[n] * hb % p:
+    if fn_b != factorial(n) % p * hb % p:
         return False
     hp_b = h.derivative().evaluate(b)
-    if fn1_b != ctx.factorial[n + 1] * hp_b % p:
+    if fn1_b != factorial(n + 1) % p * hp_b % p:
         return False
     lhs = hp_b * ctx.inv_table[hb] % p
     rhs = fn1_b * pow((n + 1) * fn_b % p, -1, p) % p
     return lhs == rhs
 
 
-def harmonic_sum_identity(ctx: FieldContext, b_set: ElementSet) -> bool:
+def harmonic_sum_identity(b_set: ElementSet) -> bool:
     """sum_b b * H(b) = m(m+1)/2 for H(b) = 1/b + sum_{b' != b} 1/(b - b')."""
+    ctx = make_field(b_set.p)
     p = ctx.p
     b = b_set.elements()
     if not b:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .field import FieldContext, make_field, proper_orders, subgroup_of_order
+from .field import MultSubgroup, make_field, proper_orders, subgroup_of_order
 from .poly import DensePoly, root_multiplicity
 from .sets import ElementSet
 from .stepanov import (
@@ -49,9 +49,9 @@ SUITE_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
                 73, 79, 83, 89, 97, 101)
 
 
-def _hypothesis_pool(ctx: FieldContext, subgroup, lam: int) -> list[int]:
+def _hypothesis_pool(subgroup: MultSubgroup, lam: int) -> list[int]:
     """All products t != 0 with t + lam in G union {0}."""
-    p = ctx.p
+    p = subgroup.ctx.p
     target = subgroup.elements.with_element(0)
     return [t for t in range(1, p) if (t + lam) % p in target]
 
@@ -81,7 +81,7 @@ class StepanovSuiteResult:
 
 
 def _sample_instance(rng: random.Random, mode: str):
-    """Draw one (ctx, A, B, lam, G) satisfying the product-shift hypothesis.
+    """Draw one (A, B, lam, G) satisfying the product-shift hypothesis.
 
     Modes: "generic" draws free subsets of the admissible pool; "tight-general"
     and "tight-shifted" pin |A| = 1 and take the full (resp. zero-free-full)
@@ -100,7 +100,7 @@ def _sample_instance(rng: random.Random, mode: str):
             if not non_g:
                 continue
             lam = rng.choice(non_g)
-        pool = _hypothesis_pool(ctx, subgroup, lam)
+        pool = _hypothesis_pool(subgroup, lam)
         if not pool:
             continue
 
@@ -113,7 +113,7 @@ def _sample_instance(rng: random.Random, mode: str):
                 b_all = [b for b in b_all if b != kill]
             if not b_all:
                 continue
-            return ctx, ElementSet.from_elements(p, [a1]), \
+            return ElementSet.from_elements(p, [a1]), \
                 ElementSet.from_elements(p, b_all), lam, subgroup
 
         a1 = rng.randrange(1, p)
@@ -129,12 +129,12 @@ def _sample_instance(rng: random.Random, mode: str):
         n = rng.randint(1, min(3, len(a_pool)))
         a = set(rng.sample(sorted(a_pool), n))
         a.add(a1)
-        return ctx, ElementSet.from_elements(p, a), \
+        return ElementSet.from_elements(p, a), \
             ElementSet.from_elements(p, b), lam, subgroup
 
 
 def _sample_additive(rng: random.Random):
-    """Draw (ctx, A, B, G) with A + B inside G union {0}; 0 allowed in A, B."""
+    """Draw (A, B, G) with A + B inside G union {0}; 0 allowed in A, B."""
     while True:
         p = rng.choice([q for q in SUITE_PRIMES if q <= 61])
         ctx = make_field(p)
@@ -149,15 +149,13 @@ def _sample_additive(rng: random.Random):
             continue
         n = rng.randint(1, min(4, len(a_pool)))
         a = rng.sample(sorted(a_pool), n)
-        return ctx, ElementSet.from_elements(p, a), ElementSet.from_elements(p, b), subgroup
+        return ElementSet.from_elements(p, a), ElementSet.from_elements(p, b), subgroup
 
 
 def _flagship_audit():
     """The F_11 instance: A={1,7}, B={1,2,3}, lam=2, |G|=5, degree 6 and tight."""
-    ctx = make_field(11)
-    subgroup = subgroup_of_order(ctx, 5)
+    subgroup = subgroup_of_order(make_field(11), 5)
     audit = audit_instance(
-        ctx,
         ElementSet.from_elements(11, [1, 7]),
         ElementSet.from_elements(11, [1, 2, 3]),
         2,
@@ -190,10 +188,10 @@ def run_stepanov_suite(
     anomalies = []
     for i in range(instances):
         mode = modes[i % len(modes)]
-        ctx, a_set, b_set, lam, subgroup = _sample_instance(rng, mode)
-        audit = audit_instance(ctx, a_set, b_set, lam, subgroup)
+        a_set, b_set, lam, subgroup = _sample_instance(rng, mode)
+        audit = audit_instance(a_set, b_set, lam, subgroup)
         if not audit.nonzero:
-            anomalies.append((ctx.p, a_set.elements(), b_set.elements(), lam,
+            anomalies.append((a_set.p, a_set.elements(), b_set.elements(), lam,
                               subgroup.order))
             continue
         lam_in_g += audit.lam_in_g
@@ -202,22 +200,20 @@ def run_stepanov_suite(
 
     additive_failures = []
     for _ in range(additive_samples):
-        ctx, a_set, b_set, subgroup = _sample_additive(rng)
-        if not check_hp_additive_bound(ctx, a_set, b_set, subgroup):
+        a_set, b_set, subgroup = _sample_additive(rng)
+        if not check_hp_additive_bound(a_set, b_set, subgroup):
             additive_failures.append(
-                (ctx.p, a_set.elements(), b_set.elements(), subgroup.order))
+                (a_set.p, a_set.elements(), b_set.elements(), subgroup.order))
 
     flagship_degree, flagship_tight = _flagship_audit()
 
     # Second pinned instance: p=13, squares, lam=1 in G, A={1}, B={2,3}.  Its
     # strict bound is checked (and raises on failure) unless f vanishes.
-    ctx13 = make_field(13)
     audit13 = audit_instance(
-        ctx13,
         ElementSet.from_elements(13, [1]),
         ElementSet.from_elements(13, [2, 3]),
         1,
-        subgroup_of_order(ctx13, 6),
+        subgroup_of_order(make_field(13), 6),
     )
     if not audit13.nonzero:
         anomalies.append((13, (1,), (2, 3), 1, 6))
@@ -262,10 +258,9 @@ def run_identity_suite(
 
     for _ in range(gf_cases):
         p = rng.choice(SUITE_PRIMES)
-        ctx = make_field(p)
         n = rng.randint(1, 8)
         a = ElementSet.from_elements(p, rng.sample(range(1, p), n))
-        if not check_gf_identity(ctx, a):
+        if not check_gf_identity(a):
             failures.append(("gf", p, a.elements()))
 
     for _ in range(newton_cases):
@@ -278,13 +273,12 @@ def run_identity_suite(
         from_roots = elementary_from_roots(ctx, multiset)[1:]
         rebuilt = reconstruct_polynomial_from_power_sums(ctx, psums)
         direct = DensePoly.from_roots(p, multiset)
-        roots = roots_over_field(ctx, rebuilt)
+        roots = roots_over_field(rebuilt)
         if from_sums != from_roots or rebuilt != direct or list(roots) != multiset:
             failures.append(("newton", p, tuple(multiset)))
 
     for _ in range(derivative_cases):
         p = rng.choice(SUITE_PRIMES)
-        ctx = make_field(p)
         b = rng.randrange(p)
         n = rng.randint(1, 4)
         while True:
@@ -292,15 +286,14 @@ def run_identity_suite(
             h = DensePoly(p, coeffs)
             if not h.is_zero() and h.evaluate(b) != 0:
                 break
-        if not check_derivative_ratio(ctx, h, b, n):
+        if not check_derivative_ratio(h, b, n):
             failures.append(("derivative", p, tuple(coeffs), b, n))
 
     for _ in range(harmonic_cases):
         p = rng.choice(SUITE_PRIMES)
-        ctx = make_field(p)
         m = rng.randint(1, 10)
         b_set = ElementSet.from_elements(p, rng.sample(range(1, p), m))
-        if not harmonic_sum_identity(ctx, b_set):
+        if not harmonic_sum_identity(b_set):
             failures.append(("harmonic", p, b_set.elements()))
 
     return IdentitySuiteResult(

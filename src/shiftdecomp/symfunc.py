@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import NonInvertibleIndexError, ZeroPolynomialError
-from .field import FieldContext
+from .field import FieldContext, make_field
 from .poly import DensePoly, root_multiplicity
 
 
@@ -62,12 +62,13 @@ def reconstruct_polynomial_from_power_sums(ctx: FieldContext, psums: Sequence[in
     return DensePoly(ctx.p, coeffs)
 
 
-def roots_over_field(ctx: FieldContext, f: DensePoly) -> tuple[int, ...]:
+def roots_over_field(f: DensePoly) -> tuple[int, ...]:
     """Roots in F_p with multiplicity, by evaluation scan plus synthetic-division confirmation."""
+    p = make_field(f.p).p
     if f.is_zero():
         raise ZeroPolynomialError("root scan undefined for the zero polynomial")
     roots = []
-    for x in range(ctx.p):
+    for x in range(p):
         if f.evaluate(x) == 0:
             roots.extend([x] * root_multiplicity(f, x))
     return tuple(roots)

@@ -74,8 +74,8 @@ class TestRecordContract:
     def test_exhaustive_is_copied_from_the_search(self, monkeypatch):
         real = audits.find_exact_factorizations
 
-        def stopped_early(ctx, target, kind):
-            return dataclasses.replace(real(ctx, target, kind), exhaustive=False)
+        def stopped_early(target, kind):
+            return dataclasses.replace(real(target, kind), exhaustive=False)
 
         monkeypatch.setattr(audits, "find_exact_factorizations", stopped_early)
         recs = audit_theorems(7, 7, AuditKind.SARKOZY_PRODUCT)
@@ -87,9 +87,9 @@ class TestRecordContract:
         searched = []
         real = audits.find_exact_factorizations
 
-        def counted(ctx, target, kind):
-            searched.append((ctx.p, target))
-            return real(ctx, target, kind)
+        def counted(target, kind):
+            searched.append((target.p, target))
+            return real(target, kind)
 
         monkeypatch.setattr(audits, "find_exact_factorizations", counted)
         recs = audit_theorems(3, 31, AuditKind.SARKOZY_PRODUCT)
@@ -200,13 +200,12 @@ class TestProductAudit:
                       for r in recs if r["params"]["lambda"] == 1}
         for r in recs:
             p, order, lam = r["p"], r["subgroup_order"], r["params"]["lambda"]
-            ctx = make_field(p)
-            target = build_target(subgroup_of_order(ctx, order),
+            target = build_target(subgroup_of_order(make_field(p), order),
                                   TargetVariant.SHIFT_MINUS_LAMBDA, lam=lam)
             if not target:
                 assert (order, r["witnesses"], r["nodes"]) == (1, [], 0)
                 continue
-            report = find_exact_factorizations(ctx, target, SetOp.PRODUCT)
+            report = find_exact_factorizations(target, SetOp.PRODUCT)
             assert r["witnesses"] == [{"A": list(w.a), "B": list(w.b)}
                                       for w in report.witnesses]
             assert r["exhaustive"] == report.exhaustive

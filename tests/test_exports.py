@@ -1,16 +1,20 @@
 """Every exported name resolves, so a removed name cannot linger in an export list,
-and the README library tour runs against the current API."""
+no exported function takes a field next to an input that carries one, and the
+README library tour runs against the current API."""
 
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
 import re
+import typing
 from pathlib import Path
 
 import pytest
 
 import shiftdecomp
+from shiftdecomp import DensePoly, ElementSet, MultSubgroup
 
 MODULES = ["shiftdecomp"] + [f"shiftdecomp.{info.name}"
                              for info in pkgutil.iter_modules(shiftdecomp.__path__)]
@@ -21,6 +25,23 @@ def test_all_names_resolve(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def test_no_function_takes_a_second_field():
+    # such a function or constructor would have two sources of p that a
+    # caller could set apart
+    carriers = {"ElementSet": ElementSet, "MultSubgroup": MultSubgroup, "DensePoly": DensePoly}
+    offenders = []
+    for name in shiftdecomp.__all__:
+        obj = getattr(shiftdecomp, name)
+        fn = obj.__init__ if inspect.isclass(obj) else obj
+        if not inspect.isfunction(fn):
+            continue
+        hints = typing.get_type_hints(fn, localns=carriers)
+        if "ctx" in hints and any(hints.get(param) in carriers.values()
+                                  for param in inspect.signature(fn).parameters):
+            offenders.append(name)
+    assert offenders == []
 
 
 def test_readme_library_tour_runs():

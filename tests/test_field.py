@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from shiftdecomp import (
     MAX_PRIME,
+    MultSubgroup,
     NotADivisorError,
     NotPrimeError,
     OutOfRangeError,
@@ -60,31 +59,10 @@ class TestMakeField:
             assert x * ctx.inv_table[x] % p == 1
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
-    def test_factorial_tables(self, p):
-        ctx = make_field(p)
-        for k in range(p):
-            assert ctx.factorial[k] == math.factorial(k) % p
-            assert ctx.factorial[k] * ctx.inv_factorial[k] % p == 1
-
-    @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_primitive_root_generates(self, p):
         ctx = make_field(p)
         g = ctx.primitive_root
         assert {pow(g, k, p) for k in range(p - 1)} == set(range(1, p))
-
-    def test_binomial_small(self, f13):
-        for n in range(13):
-            for k in range(n + 1):
-                assert f13.binomial(n, k) == math.comb(n, k) % 13
-
-    def test_binomial_lucas_digits(self, f7):
-        for n in range(7, 60):
-            for k in range(n + 1):
-                assert f7.binomial(n, k) == math.comb(n, k) % 7
-
-    def test_binomial_out_of_range(self, f7):
-        assert f7.binomial(5, -1) == 0
-        assert f7.binomial(5, 6) == 0
 
 
 class TestSubgroups:
@@ -108,6 +86,10 @@ class TestSubgroups:
     def test_full_group(self, f7):
         g = subgroup_of_order(f7, 6)
         assert g.elements.elements() == (1, 2, 3, 4, 5, 6)
+
+    def test_field_is_that_of_the_elements(self, f11):
+        g = subgroup_of_order(f11, 5)
+        assert MultSubgroup(5, g.elements).ctx is f11
 
     def test_rejects_non_divisor(self, f13):
         for d in (0, -1, 5, 7, 13):

@@ -96,7 +96,7 @@ def test_oracle_matches_flat_enumeration_on_audit_targets():
     cases = list(_audit_targets(19))
     assert len(cases) == 288
     for ctx, target, kind in cases:
-        assert factorization_oracle(ctx, target, kind) == _flat_oracle(ctx, target, kind), (
+        assert factorization_oracle(target, kind) == _flat_oracle(ctx, target, kind), (
             ctx.p, tuple(target), kind)
 
 

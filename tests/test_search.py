@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from shiftdecomp import (
     ElementSet,
     MissingZeroError,
-    ModulusMismatchError,
+    NotPrimeError,
     SetOp,
     TargetVariant,
+    ZeroElementError,
     ZeroInTargetError,
     build_target,
     canonical_product_witness,
@@ -45,6 +46,11 @@ class TestCanonicalForms:
             canonical_product_witness(f11, (1, 2, 3), (1, 7))
         )
 
+    def test_factor_holding_zero_is_rejected(self, f11):
+        for a, b in (((0, 1), (1, 2)), ((1, 2), (0, 1)), ((11, 1), (1, 2))):
+            with pytest.raises(ZeroElementError):
+                canonical_product_witness(f11, a, b)
+
     @given(st.sampled_from(PRIMES), st.data())
     def test_witness_is_scaling_and_swap_invariant(self, p, data):
         ctx = make_field(p)
@@ -71,7 +77,7 @@ class TestProductSearch:
         g = subgroup_of_order(f11, 5)
         target = build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=2)
         assert target.elements() == (1, 2, 3, 7, 10)
-        report = find_exact_factorizations(f11, target, SetOp.PRODUCT)
+        report = find_exact_factorizations(target, SetOp.PRODUCT)
         assert report.exhaustive
         assert [(w.a, w.b) for w in report.witnesses] == [((1, 2, 3), (1, 7))]
         assert report.witnesses[0].verify(target)
@@ -80,32 +86,32 @@ class TestProductSearch:
     def test_f19_shifted_subgroup(self, f19):
         g = subgroup_of_order(f19, 6)
         target = build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=2)
-        report = find_exact_factorizations(f19, target, SetOp.PRODUCT)
+        report = find_exact_factorizations(target, SetOp.PRODUCT)
         assert [(w.a, w.b) for w in report.witnesses] == [((5, 9), (1, 2, 7))]
 
     def test_no_witnesses_for_lambda_in_g(self, f13):
         g = subgroup_of_order(f13, 3)  # {1, 3, 9}
         target = build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=3)
-        report = find_exact_factorizations(f13, target, SetOp.PRODUCT)
+        report = find_exact_factorizations(target, SetOp.PRODUCT)
         assert report.witnesses == ()
         assert report.exhaustive
 
     def test_min_size_filters(self, f11):
         g = subgroup_of_order(f11, 5)
         target = build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=2)
-        report = find_exact_factorizations(f11, target, SetOp.PRODUCT, min_size=3)
+        report = find_exact_factorizations(target, SetOp.PRODUCT, min_size=3)
         assert report.witnesses == ()
 
-    def test_rejects_zero_in_target(self, f11):
+    def test_rejects_zero_in_target(self):
         with pytest.raises(ZeroInTargetError):
             find_exact_factorizations(
-                f11, ElementSet.from_elements(11, [0, 1, 2]), SetOp.PRODUCT
+                ElementSet.from_elements(11, [0, 1, 2]), SetOp.PRODUCT
             )
 
     def test_report_metadata(self, f11):
         g = subgroup_of_order(f11, 5)
         target = build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=2)
-        report = find_exact_factorizations(f11, target, SetOp.PRODUCT)
+        report = find_exact_factorizations(target, SetOp.PRODUCT)
         assert [w.kind for w in report.witnesses] == [SetOp.PRODUCT]
         assert report.exhaustive
         assert report.nodes > 0
@@ -114,7 +120,7 @@ class TestProductSearch:
 class TestSumSearch:
     def test_order_four_mod_13(self, f13):
         g = subgroup_of_order(f13, 4)  # {1, 5, 8, 12}
-        report = find_exact_factorizations(f13, g.elements, SetOp.SUM)
+        report = find_exact_factorizations(g.elements, SetOp.SUM)
         assert len(report.witnesses) == 13
         for w in report.witnesses:
             assert len(w.a) == len(w.b) == 2
@@ -122,13 +128,17 @@ class TestSumSearch:
 
     def test_no_sum_witnesses_mod_11(self, f11):
         g = subgroup_of_order(f11, 5)
-        report = find_exact_factorizations(f11, g.elements, SetOp.SUM)
+        report = find_exact_factorizations(g.elements, SetOp.SUM)
         assert report.witnesses == ()
         assert report.exhaustive
 
+    def test_rejects_composite_modulus(self):
+        with pytest.raises(NotPrimeError):
+            find_exact_factorizations(ElementSet.from_elements(15, [1, 4, 11, 14]), SetOp.SUM)
+
     def test_witnesses_deduplicated_up_to_swap(self, f13):
         g = subgroup_of_order(f13, 4)
-        report = find_exact_factorizations(f13, g.elements, SetOp.SUM)
+        report = find_exact_factorizations(g.elements, SetOp.SUM)
         seen = {tuple(sorted((w.a, w.b))) for w in report.witnesses}
         assert len(seen) == len(report.witnesses)
 
@@ -142,57 +152,53 @@ class TestOracleAgreement:
                 st.integers(min_value=1, max_value=p - 1), min_size=1, max_size=p - 1
             ).map(lambda s: ElementSet.from_elements(p, s))
         )
-        report = find_exact_factorizations(ctx, target, SetOp.PRODUCT)
+        report = find_exact_factorizations(target, SetOp.PRODUCT)
         engine = sorted(
             canonical_product_witness(ctx, w.a, w.b) for w in report.witnesses
         )
-        assert engine == sorted(factorization_oracle(ctx, target, SetOp.PRODUCT))
+        assert engine == sorted(factorization_oracle(target, SetOp.PRODUCT))
 
     @given(st.sampled_from(PRIMES), st.data())
     def test_sum_engine_matches_oracle(self, p, data):
-        ctx = make_field(p)
         target = data.draw(
             st.sets(
                 st.integers(min_value=0, max_value=p - 1), min_size=1, max_size=p
             ).map(lambda s: ElementSet.from_elements(p, s))
         )
-        report = find_exact_factorizations(ctx, target, SetOp.SUM)
+        report = find_exact_factorizations(target, SetOp.SUM)
         engine = sorted(tuple(sorted((w.a, w.b))) for w in report.witnesses)
-        assert engine == sorted(factorization_oracle(ctx, target, SetOp.SUM))
+        assert engine == sorted(factorization_oracle(target, SetOp.SUM))
 
     @given(st.sampled_from(PRIMES), st.sampled_from((1, 3)), st.data())
     def test_product_engine_matches_oracle_at_min_size(self, p, min_size, data):
-        ctx = make_field(p)
         target = data.draw(
             st.sets(
                 st.integers(min_value=1, max_value=p - 1), min_size=1, max_size=p - 1
             ).map(lambda s: ElementSet.from_elements(p, s))
         )
-        report = find_exact_factorizations(ctx, target, SetOp.PRODUCT, min_size)
+        report = find_exact_factorizations(target, SetOp.PRODUCT, min_size)
         engine = sorted((w.a, w.b) for w in report.witnesses)
-        assert engine == factorization_oracle(ctx, target, SetOp.PRODUCT, min_size)
+        assert engine == factorization_oracle(target, SetOp.PRODUCT, min_size)
 
     @given(st.sampled_from(PRIMES), st.sampled_from((1, 3)), st.data())
     def test_sum_engine_matches_oracle_at_min_size(self, p, min_size, data):
-        ctx = make_field(p)
         target = data.draw(
             st.sets(
                 st.integers(min_value=0, max_value=p - 1), min_size=1, max_size=p
             ).map(lambda s: ElementSet.from_elements(p, s))
         )
-        report = find_exact_factorizations(ctx, target, SetOp.SUM, min_size)
+        report = find_exact_factorizations(target, SetOp.SUM, min_size)
         engine = sorted((w.a, w.b) for w in report.witnesses)
-        assert engine == factorization_oracle(ctx, target, SetOp.SUM, min_size)
+        assert engine == factorization_oracle(target, SetOp.SUM, min_size)
 
     @given(st.sampled_from(PRIMES), st.data())
     def test_every_witness_recomposes(self, p, data):
-        ctx = make_field(p)
         target = data.draw(
             st.sets(
                 st.integers(min_value=1, max_value=p - 1), min_size=1, max_size=p - 1
             ).map(lambda s: ElementSet.from_elements(p, s))
         )
-        report = find_exact_factorizations(ctx, target, SetOp.PRODUCT)
+        report = find_exact_factorizations(target, SetOp.PRODUCT)
         for w in report.witnesses:
             composed = compose_sets(
                 ElementSet.from_elements(p, w.a),
@@ -203,33 +209,32 @@ class TestOracleAgreement:
 
 
 class TestRatioRepresentations:
-    def test_singleton_target(self, f11):
-        report = find_ratio_representations(f11, ElementSet.from_elements(11, [1]))
+    def test_singleton_target(self):
+        report = find_ratio_representations(ElementSet.from_elements(11, [1]))
         assert [w.a for w in report.witnesses] == [(1,)]
 
-    def test_three_element_target_mod_7(self, f7):
-        report = find_ratio_representations(f7, ElementSet.from_elements(7, [1, 3, 5]))
+    def test_three_element_target_mod_7(self):
+        report = find_ratio_representations(ElementSet.from_elements(7, [1, 3, 5]))
         assert [w.a for w in report.witnesses] == [(1, 3), (1, 5)]
 
-    def test_target_without_one_has_no_witnesses(self, f11):
-        report = find_ratio_representations(f11, ElementSet.from_elements(11, [2, 3]))
+    def test_target_without_one_has_no_witnesses(self):
+        report = find_ratio_representations(ElementSet.from_elements(11, [2, 3]))
         assert report.witnesses == ()
         assert report.exhaustive
 
     def test_subgroup_recovers_itself(self, f13):
         g = subgroup_of_order(f13, 4)
-        report = find_ratio_representations(f13, g.elements)
+        report = find_ratio_representations(g.elements)
         assert [w.a for w in report.witnesses] == [g.elements.elements()]
 
     @given(st.sampled_from(PRIMES), st.data())
     def test_witnesses_are_exact_and_maximal(self, p, data):
-        ctx = make_field(p)
         target = data.draw(
             st.sets(
                 st.integers(min_value=1, max_value=p - 1), min_size=1, max_size=p - 1
             ).map(lambda s: ElementSet.from_elements(p, s).with_element(1))
         )
-        report = find_ratio_representations(ctx, target)
+        report = find_ratio_representations(target)
         for w in report.witnesses:
             a_set = ElementSet.from_elements(p, w.a)
             assert compose_sets(a_set, a_set, SetOp.RATIO) == target
@@ -241,35 +246,34 @@ class TestRatioRepresentations:
 
 
 class TestDifferenceRepresentations:
-    def test_three_element_target_mod_11(self, f11):
+    def test_three_element_target_mod_11(self):
         report = find_difference_representations(
-            f11, ElementSet.from_elements(11, [0, 1, 10])
+            ElementSet.from_elements(11, [0, 1, 10])
         )
         assert [w.a for w in report.witnesses] == [(0, 1), (0, 10)]
 
-    def test_zero_only_target(self, f11):
-        report = find_difference_representations(f11, ElementSet.from_elements(11, [0]))
+    def test_zero_only_target(self):
+        report = find_difference_representations(ElementSet.from_elements(11, [0]))
         assert [w.a for w in report.witnesses] == [(0,)]
 
-    def test_rejects_target_without_zero(self, f11):
+    def test_rejects_target_without_zero(self):
         with pytest.raises(MissingZeroError):
-            find_difference_representations(f11, ElementSet.from_elements(11, [1, 10]))
+            find_difference_representations(ElementSet.from_elements(11, [1, 10]))
 
     def test_no_witnesses_for_order_three_target(self, f13):
         g = subgroup_of_order(f13, 3)
-        report = find_difference_representations(f13, g.elements.with_element(0))
+        report = find_difference_representations(g.elements.with_element(0))
         assert report.witnesses == ()
         assert report.exhaustive
 
     @given(st.sampled_from(PRIMES), st.data())
     def test_witnesses_are_exact_and_maximal(self, p, data):
-        ctx = make_field(p)
         target = data.draw(
             st.sets(
                 st.integers(min_value=0, max_value=p - 1), min_size=1, max_size=p
             ).map(lambda s: ElementSet.from_elements(p, s).with_element(0))
         )
-        report = find_difference_representations(ctx, target)
+        report = find_difference_representations(target)
         for w in report.witnesses:
             a_set = ElementSet.from_elements(p, w.a)
             assert compose_sets(a_set, a_set, SetOp.DIFFERENCE) == target
@@ -338,25 +342,6 @@ class TestDifferenceClique:
 
 
 
-# G = {1, 5, 8, 12}, the order-4 subgroup of F_13, searched in F_11: its
-# residues index past the F_11 tables, and the sum search used to report no
-# witness (of 13) as an exhaustive result
-_FOREIGN = ElementSet.from_elements(13, [1, 5, 8, 12])
-
-
-@pytest.mark.parametrize("search", [
-    lambda ctx: find_exact_factorizations(ctx, _FOREIGN, SetOp.SUM),
-    lambda ctx: find_exact_factorizations(ctx, _FOREIGN, SetOp.PRODUCT),
-    lambda ctx: factorization_oracle(ctx, _FOREIGN, SetOp.SUM),
-    lambda ctx: factorization_oracle(ctx, _FOREIGN, SetOp.PRODUCT),
-    lambda ctx: find_ratio_representations(ctx, _FOREIGN),
-    lambda ctx: find_difference_representations(ctx, _FOREIGN.with_element(0)),
-], ids=["sum", "product", "sum-oracle", "product-oracle", "ratio", "difference"])
-def test_target_from_another_field_is_rejected(search):
-    with pytest.raises(ModulusMismatchError):
-        search(make_field(11))
-
-
 ORACLE_PRIMES = (3, 5, 7, 11)
 
 
@@ -422,14 +407,13 @@ class TestRepresentationOracle:
 
     @pytest.mark.parametrize("p", ORACLE_PRIMES)
     def test_every_audit_target(self, p):
-        ctx = make_field(p)
         ratio, difference = _audit_targets(p)
         for target in ratio:
-            report = find_ratio_representations(ctx, target)
+            report = find_ratio_representations(target)
             assert [w.a for w in report.witnesses] == \
                 _oracle_representations(p, target, SetOp.RATIO), target
         for target in difference:
-            report = find_difference_representations(ctx, target)
+            report = find_difference_representations(target)
             assert [w.a for w in report.witnesses] == \
                 _oracle_representations(p, target, SetOp.DIFFERENCE), target
 
@@ -437,7 +421,7 @@ class TestRepresentationOracle:
     def test_random_ratio_targets(self, p, data):
         elems = data.draw(st.sets(st.integers(1, p - 1), min_size=1))
         target = ElementSet.from_elements(p, elems)
-        report = find_ratio_representations(make_field(p), target)
+        report = find_ratio_representations(target)
         assert [w.a for w in report.witnesses] == \
             _oracle_representations(p, target, SetOp.RATIO)
 
@@ -445,9 +429,32 @@ class TestRepresentationOracle:
     def test_random_difference_targets(self, p, data):
         elems = data.draw(st.sets(st.integers(0, p - 1)))
         target = ElementSet.from_elements(p, elems).with_element(0)
-        report = find_difference_representations(make_field(p), target)
+        report = find_difference_representations(target)
         assert [w.a for w in report.witnesses] == \
             _oracle_representations(p, target, SetOp.DIFFERENCE)
+
+
+# G = {1, 5, 8, 12}, the order-4 subgroup of F_13; every search runs in the
+# field of its target, so no call can pair G with the tables of another field
+_G13 = ElementSet.from_elements(13, [1, 5, 8, 12])
+
+
+@pytest.mark.parametrize("kind", ["sum", "product", "ratio", "difference"])
+def test_target_is_searched_in_its_own_field(kind):
+    if kind in ("sum", "product"):
+        op = SetOp.SUM if kind == "sum" else SetOp.PRODUCT
+        engine = [(w.a, w.b) for w in find_exact_factorizations(_G13, op).witnesses]
+        expected = factorization_oracle(_G13, op)
+    elif kind == "ratio":
+        engine = [w.a for w in find_ratio_representations(_G13).witnesses]
+        expected = _oracle_representations(13, _G13, SetOp.RATIO)
+    else:
+        target = _G13.with_element(0)
+        engine = [w.a for w in find_difference_representations(target).witnesses]
+        expected = _oracle_representations(13, target, SetOp.DIFFERENCE)
+    assert engine == expected
+    if kind == "sum":
+        assert len(engine) == 13
 
 
 SYMMETRY_PRIMES = (17, 19, 23)
@@ -475,10 +482,9 @@ class TestSearchSymmetries:
     def test_sum_witnesses_follow_translation(self, case, data):
         p, target = case
         t = data.draw(st.integers(1, p - 1))
-        ctx = make_field(p)
         shifted = ElementSet.from_elements(p, [(x + t) % p for x in target])
-        base = find_exact_factorizations(ctx, target, SetOp.SUM).witnesses
-        moved = find_exact_factorizations(ctx, shifted, SetOp.SUM).witnesses
+        base = find_exact_factorizations(target, SetOp.SUM).witnesses
+        moved = find_exact_factorizations(shifted, SetOp.SUM).witnesses
         assert base
         # a listed witness is an unordered pair, so translate either part
         ordered = [pair for w in base for pair in ((w.a, w.b), (w.b, w.a))]
@@ -488,7 +494,7 @@ class TestSearchSymmetries:
     @given(_composed_targets(SetOp.SUM))
     def test_sum_witnesses_are_closed_under_opposite_translation(self, case):
         p, target = case
-        report = find_exact_factorizations(make_field(p), target, SetOp.SUM)
+        report = find_exact_factorizations(target, SetOp.SUM)
         found = {(w.a, w.b) for w in report.witnesses}
         assert found
         for a, b in found:
@@ -501,7 +507,7 @@ class TestSearchSymmetries:
         # (A, B) solves exactly when (gA + t, gB - t) does
         ctx = make_field(p)
         for g in enumerate_proper_subgroups(ctx):
-            report = find_exact_factorizations(ctx, g.elements, SetOp.SUM)
+            report = find_exact_factorizations(g.elements, SetOp.SUM)
             found = {(w.a, w.b) for w in report.witnesses}
             for a, b in found:
                 for u in g.elements:
@@ -515,9 +521,9 @@ class TestSearchSymmetries:
         c = data.draw(st.integers(2, p - 1))
         ctx = make_field(p)
         scaled = ElementSet.from_elements(p, [c * x % p for x in target])
-        report = find_exact_factorizations(ctx, target, SetOp.PRODUCT)
+        report = find_exact_factorizations(target, SetOp.PRODUCT)
         base = report.witnesses
-        moved = find_exact_factorizations(ctx, scaled, SetOp.PRODUCT).witnesses
+        moved = find_exact_factorizations(scaled, SetOp.PRODUCT).witnesses
         assert base
         assert [(w.a, w.b) for w in moved] == sorted(
             {canonical_product_witness(ctx, [c * x % p for x in w.a], w.b) for w in base})

@@ -12,6 +12,8 @@ from shiftdecomp import (
     ElementSet,
     FactorialOverflowError,
     HypothesisViolatedError,
+    ModulusMismatchError,
+    NotPrimeError,
     UnexpectedRootError,
     ZeroElementError,
     ZeroParameterError,
@@ -42,28 +44,31 @@ def moment(p: int, a_set: ElementSet, coeffs: tuple[int, ...], k: int) -> int:
 
 
 class TestSolveCoefficients:
-    def test_pair_example(self, f7):
-        assert solve_coefficients(f7, ElementSet.from_elements(7, [1, 2])) == (2, 6)
+    def test_pair_example(self):
+        assert solve_coefficients(ElementSet.from_elements(7, [1, 2])) == (2, 6)
 
-    def test_singleton(self, f7):
-        assert solve_coefficients(f7, ElementSet.from_elements(7, [3])) == (1,)
+    def test_singleton(self):
+        assert solve_coefficients(ElementSet.from_elements(7, [3])) == (1,)
 
-    def test_moment_normalization(self, f7):
+    def test_moment_normalization(self):
         a_set = ElementSet.from_elements(7, [1, 2])
-        coeffs = solve_coefficients(f7, a_set)
+        coeffs = solve_coefficients(a_set)
         assert moment(7, a_set, coeffs, 0) == 1
         assert moment(7, a_set, coeffs, 1) == 0
         assert moment(7, a_set, coeffs, 2) == 5
 
-    def test_rejects_zero_element(self, f7):
+    def test_rejects_zero_element(self):
         with pytest.raises(ZeroElementError):
-            solve_coefficients(f7, ElementSet.from_elements(7, [0, 1]))
+            solve_coefficients(ElementSet.from_elements(7, [0, 1]))
+
+    def test_rejects_composite_modulus(self):
+        with pytest.raises(NotPrimeError):
+            solve_coefficients(ElementSet.from_elements(15, [1, 2]))
 
     @given(st.sampled_from(PRIMES), st.data())
     def test_moment_window_vanishes(self, p, data):
-        ctx = make_field(p)
         a_set = data.draw(nonzero_subsets(p, 1, min(5, p - 1)))
-        coeffs = solve_coefficients(ctx, a_set)
+        coeffs = solve_coefficients(a_set)
         n = len(a_set)
         assert moment(p, a_set, coeffs, 0) == 1
         for k in range(1, n):
@@ -72,36 +77,46 @@ class TestSolveCoefficients:
     @given(st.sampled_from(PRIMES), st.data())
     def test_coefficients_never_zero(self, p, data):
         # each c_i is a ratio of products of nonzero field elements
-        ctx = make_field(p)
         a_set = data.draw(nonzero_subsets(p, 1, min(5, p - 1)))
-        assert all(c != 0 for c in solve_coefficients(ctx, a_set))
+        assert all(c != 0 for c in solve_coefficients(a_set))
 
 
 class TestBuildAuxiliaryPolynomial:
-    def test_singleton_unit_instance(self, f7):
+    def test_singleton_unit_instance(self):
         # single node at 1 with unit shift: (x + 1)^3 - 1 = x^3 + 3x^2 + 3x
-        f = build_auxiliary_polynomial(f7, ElementSet.from_elements(7, [1]), 1, 3)
+        f = build_auxiliary_polynomial(ElementSet.from_elements(7, [1]), 1, 3)
         assert f.coeffs == (0, 3, 3, 1)
 
-    def test_singleton_shift_three(self, f7):
+    def test_singleton_shift_three(self):
         # (x + 3)^3 - 1 over F_7 factors as (x-1)(x-5)(x-6)
-        f = build_auxiliary_polynomial(f7, ElementSet.from_elements(7, [1]), 3, 3)
+        f = build_auxiliary_polynomial(ElementSet.from_elements(7, [1]), 3, 3)
         assert f.coeffs == (5, 6, 2, 1)
         assert f == DensePoly.from_roots(7, [1, 5, 6])
 
-    def test_rejects_zero_shift(self, f7):
+    def test_rejects_zero_shift(self):
         with pytest.raises(ZeroParameterError):
-            build_auxiliary_polynomial(f7, ElementSet.from_elements(7, [1]), 0, 3)
+            build_auxiliary_polynomial(ElementSet.from_elements(7, [1]), 0, 3)
 
-    def test_frobenius_collapse_with_fallback(self, f7):
+    def test_frobenius_collapse_with_fallback(self):
         # degree cap 7 = p: (u + v)^7 = u^7 + v^7 over F_7 collapses the whole
         # construction to the zero polynomial, which the audit layer must flag
-        f = build_auxiliary_polynomial(f7, ElementSet.from_elements(7, [1, 2]), 3, 6)
+        f = build_auxiliary_polynomial(ElementSet.from_elements(7, [1, 2]), 3, 6)
         assert f.is_zero()
 
     @given(st.sampled_from(PRIMES), st.data())
+    def test_matches_direct_expansion(self, p, data):
+        # -lam^(n-1) + sum c_i (a_i x + lam)^N by polynomial arithmetic, N up to 3p + 3
+        a_set = data.draw(nonzero_subsets(p, 1, 4))
+        lam = data.draw(st.integers(min_value=1, max_value=p - 1))
+        g_order = data.draw(st.integers(min_value=1, max_value=3 * p))
+        n = len(a_set)
+        expected = DensePoly.constant(p, -pow(lam, n - 1, p))
+        for c, a in zip(solve_coefficients(a_set), a_set.elements()):
+            expected = expected + (DensePoly(p, (lam, a)) ** (n - 1 + g_order)).scale(c)
+        assert build_auxiliary_polynomial(a_set, lam, g_order) == expected
+
+    @given(st.sampled_from(PRIMES), st.data())
     def test_low_order_window_vanishes(self, p, data):
-        ctx = make_field(p)
         max_n = 4
         a_set = data.draw(nonzero_subsets(p, 1, max_n))
         n = len(a_set)
@@ -109,7 +124,7 @@ class TestBuildAuxiliaryPolynomial:
         if n - 1 + g_order >= p:
             return
         lam = data.draw(st.integers(min_value=1, max_value=p - 1))
-        f = build_auxiliary_polynomial(ctx, a_set, lam, g_order)
+        f = build_auxiliary_polynomial(a_set, lam, g_order)
         for k in range(1, n):
             assert f.coefficient(k) == 0
         assert f.degree <= n - 1 + g_order
@@ -119,7 +134,6 @@ class TestAuditInstance:
     def test_general_equality_instance(self, f7):
         g = subgroup_of_order(f7, 3)  # {1, 2, 4}
         audit = audit_instance(
-            f7,
             ElementSet.from_elements(7, [1]),
             ElementSet.from_elements(7, [1, 4, 5, 6]),
             3,
@@ -136,7 +150,6 @@ class TestAuditInstance:
     def test_shifted_equality_instance(self, f7):
         g = subgroup_of_order(f7, 3)
         audit = audit_instance(
-            f7,
             ElementSet.from_elements(7, [1]),
             ElementSet.from_elements(7, [2, 6]),
             2,
@@ -153,7 +166,6 @@ class TestAuditInstance:
     def test_flagship_instance(self, f11):
         g = subgroup_of_order(f11, 5)  # {1, 3, 4, 5, 9}
         audit = audit_instance(
-            f11,
             ElementSet.from_elements(11, [1, 7]),
             ElementSet.from_elements(11, [1, 2, 3]),
             2,
@@ -171,7 +183,6 @@ class TestAuditInstance:
         g = subgroup_of_order(f11, 5)
         with pytest.raises(HypothesisViolatedError):
             audit_instance(
-                f11,
                 ElementSet.from_elements(11, [1]),
                 ElementSet.from_elements(11, [1]),
                 1,
@@ -197,22 +208,52 @@ class TestAuditInstance:
                         continue
                     b_full = ElementSet.from_elements(p, pool)
                     audit = audit_instance(
-                        ctx, ElementSet.from_elements(p, [1]), b_full, lam, g
+                        ElementSet.from_elements(p, [1]), b_full, lam, g
                     )
                     assert audit.nonzero
                     checked += 1
         assert checked == 48  # 18 instances over F_7 plus 30 over F_11
 
 
+class TestSharedField:
+    """A, B and G of one audit must lie in one field.
+
+    In F_11, A = {1}, B = {2}, lam = 1 and G = {1, 3, 4, 5, 9} meet both
+    hypotheses (1 * 2 + 1 = 1 + 2 = 3 is in G); each probe swaps one of the
+    three inputs for one over F_7.
+    """
+
+    @staticmethod
+    def _probes():
+        a, b = ElementSet.from_elements(11, [1]), ElementSet.from_elements(11, [2])
+        g = subgroup_of_order(make_field(11), 5)
+        a7, b7 = ElementSet.from_elements(7, [1]), ElementSet.from_elements(7, [2])
+        g7 = subgroup_of_order(make_field(7), 3)
+        return (a, b, g), [(a7, b, g), (a, b7, g), (a7, b7, g), (a, b, g7)]
+
+    def test_audit_rejects_inputs_from_two_fields(self):
+        same, mixed = self._probes()
+        assert audit_instance(same[0], same[1], 1, same[2]).nonzero
+        for a, b, g in mixed:
+            with pytest.raises(ModulusMismatchError):
+                audit_instance(a, b, 1, g)
+
+    def test_additive_bound_rejects_inputs_from_two_fields(self):
+        same, mixed = self._probes()
+        assert check_hp_additive_bound(*same)
+        for a, b, g in mixed:
+            with pytest.raises(ModulusMismatchError):
+                check_hp_additive_bound(a, b, g)
+
+
 class TestVanishingPolynomial:
     @pytest.fixture(autouse=True)
     def zero_auxiliary_polynomial(self, monkeypatch):
         monkeypatch.setattr(stepanov, "build_auxiliary_polynomial",
-                            lambda ctx, a_set, lam, g_order: DensePoly.zero(ctx.p))
+                            lambda a_set, lam, g_order: DensePoly.zero(a_set.p))
 
     def test_audit_returns_instead_of_raising(self, f7):
         audit = audit_instance(
-            f7,
             ElementSet.from_elements(7, [1]),
             ElementSet.from_elements(7, [1, 4, 5, 6]),
             3,
@@ -238,7 +279,6 @@ class TestAdditiveBound:
     def test_squares_mod_13(self, f13):
         g = subgroup_of_order(f13, 6)
         assert check_hp_additive_bound(
-            f13,
             ElementSet.from_elements(13, [0, 1]),
             ElementSet.from_elements(13, [0, 3]),
             g,
@@ -248,7 +288,6 @@ class TestAdditiveBound:
         g = subgroup_of_order(f13, 6)
         with pytest.raises(HypothesisViolatedError):
             check_hp_additive_bound(
-                f13,
                 ElementSet.from_elements(13, [2]),
                 ElementSet.from_elements(13, [0]),
                 g,
@@ -266,7 +305,6 @@ class TestAdditiveBound:
                         sums = {(a1 + b1) % 13, (a1 + b2) % 13, (a2 + b1) % 13, (a2 + b2) % 13}
                         if sums <= target:
                             assert check_hp_additive_bound(
-                                f13,
                                 ElementSet.from_elements(13, [a1, a2]),
                                 ElementSet.from_elements(13, [b1, b2]),
                                 g,
@@ -276,29 +314,33 @@ class TestAdditiveBound:
 
 
 class TestExactIdentities:
-    def test_gf_identity_example(self, f7):
-        assert check_gf_identity(f7, ElementSet.from_elements(7, [1, 2]))
+    def test_gf_identity_example(self):
+        assert check_gf_identity(ElementSet.from_elements(7, [1, 2]))
 
     @given(st.sampled_from(PRIMES), st.data())
     def test_gf_identity_random(self, p, data):
-        ctx = make_field(p)
         a_set = data.draw(nonzero_subsets(p, 1, min(6, p - 1)))
-        assert check_gf_identity(ctx, a_set)
+        assert check_gf_identity(a_set)
 
-    def test_derivative_ratio_example(self, f13):
-        assert check_derivative_ratio(f13, DensePoly(13, [1, 1]), 2, 3)
+    def test_derivative_ratio_example(self):
+        assert check_derivative_ratio(DensePoly(13, [1, 1]), 2, 3)
 
-    def test_derivative_ratio_rejects_root(self, f7):
+    def test_derivative_ratio_rejects_root(self):
         with pytest.raises(UnexpectedRootError):
-            check_derivative_ratio(f7, DensePoly(7, [5, 1]), 2, 3)
+            check_derivative_ratio(DensePoly(7, [5, 1]), 2, 3)
 
-    def test_derivative_ratio_rejects_factorial_overflow(self, f7):
+    def test_derivative_ratio_rejects_factorial_overflow(self):
         with pytest.raises(FactorialOverflowError):
-            check_derivative_ratio(f7, DensePoly(7, [1, 1]), 2, 6)
+            check_derivative_ratio(DensePoly(7, [1, 1]), 2, 6)
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+    def test_derivative_ratio_every_multiplicity(self, p):
+        # f^(n)(b) = n! h(b) and f^(n+1)(b) = (n+1)! h'(b) reach every k! with 2 <= k < p
+        for n in range(1, p - 1):
+            assert check_derivative_ratio(DensePoly(p, (1, 1)), 1, n)
 
     @given(st.sampled_from(PRIMES), st.data())
     def test_derivative_ratio_random(self, p, data):
-        ctx = make_field(p)
         n = data.draw(st.integers(min_value=1, max_value=min(4, p - 2)))
         b = data.draw(st.integers(min_value=0, max_value=p - 1))
         coeffs = data.draw(
@@ -307,21 +349,20 @@ class TestExactIdentities:
         h = DensePoly(p, coeffs)
         if h.evaluate(b) == 0:
             return
-        assert check_derivative_ratio(ctx, h, b, n)
+        assert check_derivative_ratio(h, b, n)
 
-    def test_harmonic_example(self, f7):
-        assert harmonic_sum_identity(f7, ElementSet.from_elements(7, [1, 2]))
+    def test_harmonic_example(self):
+        assert harmonic_sum_identity(ElementSet.from_elements(7, [1, 2]))
 
-    def test_harmonic_rejects_zero(self, f7):
+    def test_harmonic_rejects_zero(self):
         with pytest.raises(ZeroElementError):
-            harmonic_sum_identity(f7, ElementSet.from_elements(7, [0, 1]))
+            harmonic_sum_identity(ElementSet.from_elements(7, [0, 1]))
 
-    def test_harmonic_rejects_empty(self, f7):
+    def test_harmonic_rejects_empty(self):
         with pytest.raises(ValueError):
-            harmonic_sum_identity(f7, ElementSet.from_elements(7, []))
+            harmonic_sum_identity(ElementSet.from_elements(7, []))
 
     @given(st.sampled_from(PRIMES), st.data())
     def test_harmonic_random(self, p, data):
-        ctx = make_field(p)
         b_set = data.draw(nonzero_subsets(p, 1, p - 1))
-        assert harmonic_sum_identity(ctx, b_set)
+        assert harmonic_sum_identity(b_set)

@@ -439,21 +439,28 @@ class TestRepresentationOracle:
 _G13 = ElementSet.from_elements(13, [1, 5, 8, 12])
 
 
-@pytest.mark.parametrize("kind", ["sum", "product", "ratio", "difference"])
+_KINDS = ["sum", "product", "sum-oracle", "product-oracle", "ratio", "difference"]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
 def test_target_is_searched_in_its_own_field(kind):
+    op = SetOp.SUM if kind.startswith("sum") else SetOp.PRODUCT
     if kind in ("sum", "product"):
-        op = SetOp.SUM if kind == "sum" else SetOp.PRODUCT
         engine = [(w.a, w.b) for w in find_exact_factorizations(_G13, op).witnesses]
-        expected = factorization_oracle(_G13, op)
+        assert engine == factorization_oracle(_G13, op)
+    elif kind in ("sum-oracle", "product-oracle"):
+        engine = factorization_oracle(_G13, op)
+        for a, b in engine:
+            a_set, b_set = (ElementSet.from_elements(13, part) for part in (a, b))
+            assert compose_sets(a_set, b_set, op) == _G13, (a, b)
     elif kind == "ratio":
         engine = [w.a for w in find_ratio_representations(_G13).witnesses]
-        expected = _oracle_representations(13, _G13, SetOp.RATIO)
+        assert engine == _oracle_representations(13, _G13, SetOp.RATIO)
     else:
         target = _G13.with_element(0)
         engine = [w.a for w in find_difference_representations(target).witnesses]
-        expected = _oracle_representations(13, target, SetOp.DIFFERENCE)
-    assert engine == expected
-    if kind == "sum":
+        assert engine == _oracle_representations(13, target, SetOp.DIFFERENCE)
+    if kind.startswith("sum"):
         assert len(engine) == 13
 
 

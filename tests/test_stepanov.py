@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -96,6 +98,20 @@ class TestBuildAuxiliaryPolynomial:
     def test_rejects_zero_shift(self):
         with pytest.raises(ZeroParameterError):
             build_auxiliary_polynomial(ElementSet.from_elements(7, [1]), 0, 3)
+
+    def test_binomial_coefficients_below_p(self):
+        # A = {1}, lam = 1 gives (x + 1)^N - 1, whose x^k coefficient is binom(N, k)
+        for n in range(1, 13):
+            f = build_auxiliary_polynomial(ElementSet.from_elements(13, [1]), 1, n)
+            coeffs = [0] + [math.comb(n, k) % 13 for k in range(1, n + 1)]
+            assert f == DensePoly(13, coeffs), n
+
+    def test_binomial_coefficients_past_p(self):
+        # N >= p: binom(N, k) mod 7 follows the base-7 digits of N and k (Lucas)
+        for n in range(7, 60):
+            f = build_auxiliary_polynomial(ElementSet.from_elements(7, [1]), 1, n)
+            coeffs = [0] + [math.comb(n, k) % 7 for k in range(1, n + 1)]
+            assert f == DensePoly(7, coeffs), n
 
     def test_frobenius_collapse_with_fallback(self):
         # degree cap 7 = p: (u + v)^7 = u^7 + v^7 over F_7 collapses the whole

@@ -17,6 +17,7 @@ from .errors import (
     ModulusMismatchError,
     NonInvertibleIndexError,
     NotADivisorError,
+    NotASubgroupError,
     NotPrimeError,
     OutOfRangeError,
     ShiftDecompError,
@@ -105,7 +106,7 @@ __all__ = [
     "__version__",
     # errors
     "ShiftDecompError", "NotPrimeError", "OutOfRangeError", "NotADivisorError",
-    "ZeroElementError", "ModulusMismatchError", "ZeroDivisorError",
+    "NotASubgroupError", "ZeroElementError", "ModulusMismatchError", "ZeroDivisorError",
     "ZeroScaleError", "ZeroParameterError", "ZeroInTargetError",
     "MissingZeroError", "InternalMismatchError",
     "ZeroPolynomialError", "HypothesisViolatedError", "BoundViolationError",

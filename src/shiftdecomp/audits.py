@@ -19,7 +19,6 @@ from math import isqrt
 
 from .errors import InternalMismatchError, TheoremViolation
 from .field import (
-    FieldContext,
     MultSubgroup,
     is_prime,
     make_field,
@@ -64,9 +63,9 @@ def primes_in_range(p_min: int, p_max: int) -> list[int]:
     return [p for p in range(start | 1, p_max + 1, 2) if is_prime(p)]
 
 
-def _coset_representatives(ctx: FieldContext, subgroup: MultSubgroup) -> list[int]:
+def _coset_representatives(subgroup: MultSubgroup) -> list[int]:
     """Smallest element of each coset of the subgroup, ascending."""
-    p = ctx.p
+    p = subgroup.ctx.p
     seen = 0
     reps = []
     for x in range(1, p):
@@ -96,23 +95,23 @@ def _build_tasks(kind: AuditKind, p_min: int, p_max: int,
     return tasks
 
 
-def _targets(kind: AuditKind, ctx: FieldContext, subgroup: MultSubgroup):
+def _targets(kind: AuditKind, subgroup: MultSubgroup):
     """Yield (record params, target) for each record of one subgroup, in canonical order.
 
     The Paley clique record has no target; its params carry the clique number.
     """
     if kind in (AuditKind.SARKOZY_PRODUCT, AuditKind.LAMBDA_CENSUS):
         shifts = subgroup.elements if kind is AuditKind.SARKOZY_PRODUCT else [
-            lam for lam in _coset_representatives(ctx, subgroup)
+            lam for lam in _coset_representatives(subgroup)
             if lam not in subgroup.elements]
         for lam in shifts:
             yield {"lambda": lam}, build_target(subgroup, TargetVariant.SHIFT_MINUS_LAMBDA,
                                                 lam=lam)
     elif kind is AuditKind.SHIFTED_RATIO:
-        reps = _coset_representatives(ctx, subgroup)
+        reps = _coset_representatives(subgroup)
         for variant in (TargetVariant.XI_SHIFT, TargetVariant.XI_SHIFT_WITH_ZERO):
             for xi in reps:
-                for mu in range(1, ctx.p):
+                for mu in range(1, subgroup.ctx.p):
                     yield ({"variant": variant.value, "xi": xi, "mu": mu},
                            build_target(subgroup, variant, xi=xi, mu=mu))
     elif kind is AuditKind.LEV_SONN_DIFFERENCE:
@@ -180,7 +179,7 @@ def _execute_task(task: tuple) -> list[dict]:
     subgroup = subgroup_of_order(ctx, order)
     records = []
     start = time.perf_counter()
-    for params, target in _targets(kind, ctx, subgroup):
+    for params, target in _targets(kind, subgroup):
         witnesses, exhaustive, nodes = [], True, 0
         if target:
             if kind is AuditKind.SARKOZY_PRODUCT and params["lambda"] != 1:

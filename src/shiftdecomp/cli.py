@@ -13,14 +13,12 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import fields
-from functools import partial
-from typing import get_type_hints
 
 from .audits import AuditKind, audit_theorems, primes_in_range, reproduce_counterexamples
 from .errors import BoundViolationError, TheoremViolation
 from .field import MAX_PRIME
-from .suites import run_identity_suite, run_stepanov_suite, run_unity_suite
+from .suites import (ADDITIVE_SAMPLES, DERIVATIVE_CASES, GF_CASES, HARMONIC_CASES, NEWTON_CASES,
+                     run_identity_suite, run_stepanov_suite, run_unity_suite)
 
 __all__ = ["main"]
 
@@ -35,6 +33,7 @@ MAX_CLAIM_ORDER = 300
 MAX_INSTANCES = 100_000
 # every order past 5 is empty by pigeonhole: `unity audit` at this bound takes 1.0 s
 MAX_PAIRS_ORDER = 1_000_000
+SUITE_SEED = 20260815
 
 # (command, subcommand) -> (audit, default smallest prime, default largest prime)
 _AUDITS = {
@@ -95,14 +94,15 @@ def _build_parser() -> argparse.ArgumentParser:
     stepanov_sub = stepanov.add_subparsers(dest="which", required=True)
     stepanov_cmd = stepanov_sub.add_parser("audit")
     stepanov_cmd.add_argument("--instances", type=int, default=1000,
-                              help=f"random instances (default 1000, at most {MAX_INSTANCES})")
-    stepanov_cmd.add_argument("--seed", type=int, default=20260815)
+                              help="random instances "
+                                   f"(default %(default)s, at most {MAX_INSTANCES})")
+    stepanov_cmd.add_argument("--seed", type=int, default=SUITE_SEED)
     stepanov_cmd.add_argument("--out", default=None)
 
     identities = commands.add_parser("identities", help="exact identity fuzzing")
     identities_sub = identities.add_subparsers(dest="which", required=True)
     identities_cmd = identities_sub.add_parser("fuzz")
-    identities_cmd.add_argument("--seed", type=int, default=20260815)
+    identities_cmd.add_argument("--seed", type=int, default=SUITE_SEED)
     identities_cmd.add_argument("--out", default=None)
 
     unity = commands.add_parser("unity", help="roots-of-unity suite")
@@ -110,10 +110,10 @@ def _build_parser() -> argparse.ArgumentParser:
     unity_cmd = unity_sub.add_parser("audit")
     unity_cmd.add_argument("--mmax-claim", dest="mmax_claim", type=int, default=100,
                            help="largest order for the chord-product claim "
-                                f"(default 100, at most {MAX_CLAIM_ORDER})")
+                                f"(default %(default)s, at most {MAX_CLAIM_ORDER})")
     unity_cmd.add_argument("--mmax-pairs", dest="mmax_pairs", type=int, default=50,
                            help="largest order for the 2x2 decomposition search "
-                                f"(default 50, at most {MAX_PAIRS_ORDER})")
+                                f"(default %(default)s, at most {MAX_PAIRS_ORDER})")
     unity_cmd.add_argument("--mmax-maps", dest="mmax_maps", type=int, default=8)
     unity_cmd.add_argument("--out", default=None)
 
@@ -179,37 +179,46 @@ def _run_reproduce(out) -> int:
     return EXIT_OK
 
 
-# a suite result field the summary leaves out, since ``passed`` already covers it
-_UNREPORTED = frozenset({"flagship_tight"})
-
-
-def _summary(task: str, result) -> dict:
-    """Every field of a suite result plus ``passed``; a bare ``tuple`` field
-    holds failure records and is written as their count."""
-    hints = get_type_hints(type(result))
-    summary = {"task": task, "passed": result.passed}
-    for field in fields(result):
-        if field.name not in _UNREPORTED:
-            value = getattr(result, field.name)
-            summary[field.name] = len(value) if hints[field.name] is tuple else value
-    return summary
-
-
 def _run_suite(args, out) -> int:
-    if args.command == "stepanov":
-        name, run = "stepanov", partial(run_stepanov_suite, instances=args.instances,
-                                        seed=args.seed)
-    elif args.command == "identities":
-        name, run = "identity", partial(run_identity_suite, seed=args.seed)
-    else:
-        name, run = "unity", partial(run_unity_suite, claim_max=args.mmax_claim,
+    """Run one suite and write its record: the settings it ran with, then what it
+    measured, with each list of failure records written as its count (the
+    failing unity orders are written out).
+
+    The suites are looked up in this module at call time, so that a patched
+    ``run_*_suite`` here is the one that runs.
+    """
+    try:
+        if args.command == "stepanov":
+            name = "stepanov"
+            result = run_stepanov_suite(instances=args.instances, seed=args.seed)
+            record = {"instances": args.instances, "additive_checked": ADDITIVE_SAMPLES,
+                      "lam_in_g_instances": result.lam_in_g_instances,
+                      "general_equalities": result.general_equalities,
+                      "shifted_equalities": result.shifted_equalities,
+                      "anomalies": len(result.anomalies),
+                      "additive_failures": len(result.additive_failures),
+                      "flagship_degree": result.flagship_degree}
+        elif args.command == "identities":
+            name = "identity"
+            result = run_identity_suite(seed=args.seed)
+            record = {"gf_checked": GF_CASES, "newton_checked": NEWTON_CASES,
+                      "derivative_checked": DERIVATIVE_CASES,
+                      "harmonic_checked": HARMONIC_CASES,
+                      "failures": len(result.failures)}
+        else:
+            name = "unity"
+            result = run_unity_suite(claim_max=args.mmax_claim,
                                      decomposition_max=args.mmax_pairs,
                                      classify_max=args.mmax_maps)
-    try:
-        result = run()
+            record = {"claim_orders_checked": args.mmax_claim - 2,
+                      "decomposition_orders_checked": args.mmax_pairs - 2,
+                      "classified_orders": list(range(3, args.mmax_maps + 1)),
+                      "claim_failures": result.claim_failures,
+                      "decomposition_witnesses": len(result.decomposition_witnesses),
+                      "max_quadruple_class": result.max_quadruple_class}
     except (BoundViolationError, TheoremViolation) as exc:
         return _violation(exc)
-    _emit([_summary(f"{name}-suite", result)], out)
+    _emit([{"task": f"{name}-suite", "passed": result.passed, **record}], out)
     if not result.passed:
         print(f"VIOLATION: {name} suite failed: {result}", file=sys.stderr)
         return EXIT_VIOLATION

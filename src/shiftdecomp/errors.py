@@ -17,6 +17,10 @@ class NotADivisorError(ShiftDecompError):
     """Requested subgroup order does not divide p - 1."""
 
 
+class NotASubgroupError(ShiftDecompError):
+    """A set given as a subgroup of F_p^* is not one."""
+
+
 class ZeroElementError(ShiftDecompError):
     """A set that must avoid zero contains it."""
 

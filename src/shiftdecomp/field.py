@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import NotADivisorError, NotPrimeError, OutOfRangeError
+from .errors import NotADivisorError, NotASubgroupError, NotPrimeError, OutOfRangeError
 from .sets import ElementSet
 
 MAX_PRIME = 1 << 20
@@ -113,28 +113,42 @@ def make_field(p: int) -> FieldContext:
     return FieldContext(p)
 
 
-class MultSubgroup:
-    """The unique multiplicative subgroup of F_p^* of a given order.
+@lru_cache(maxsize=256)
+def _subgroup_mask(p: int, d: int) -> int:
+    """Residue bitmask of the subgroup of order d of F_p^*; d divides p - 1."""
+    gen = pow(make_field(p).primitive_root, (p - 1) // d, p)
+    mask = 0
+    x = 1
+    for _ in range(d):
+        mask |= 1 << x
+        x = x * gen % p
+    return mask
 
-    Its field is the one its elements lie in; subgroup_of_order builds it.
+
+class MultSubgroup:
+    """A multiplicative subgroup of F_p^*, given by its elements.
+
+    Its field is the one its elements lie in and its order is their count; a
+    set that is not the subgroup of that order raises NotASubgroupError.
+    subgroup_of_order builds it from the order.
     """
 
     __slots__ = ("ctx", "order", "elements")
 
-    def __init__(self, order: int, elements: ElementSet):
-        self.ctx = make_field(elements.p)
+    def __init__(self, elements: ElementSet):
+        ctx = make_field(elements.p)
+        order = len(elements)
+        if not order or (ctx.p - 1) % order or elements.mask != _subgroup_mask(ctx.p, order):
+            raise NotASubgroupError(f"{order} residues mod {ctx.p} do not form a subgroup")
+        self.ctx = ctx
         self.order = order
         self.elements = elements
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultSubgroup)
-            and self.ctx.p == other.ctx.p
-            and self.order == other.order
-        )
+        return isinstance(other, MultSubgroup) and self.elements == other.elements
 
     def __hash__(self) -> int:
-        return hash((self.ctx.p, self.order))
+        return hash(self.elements)
 
     def __repr__(self) -> str:
         return f"MultSubgroup(p={self.ctx.p}, order={self.order})"
@@ -148,13 +162,7 @@ def subgroup_of_order(ctx: FieldContext, d: int) -> MultSubgroup:
     """
     if d < 1 or (ctx.p - 1) % d != 0:
         raise NotADivisorError(f"{d} does not divide {ctx.p - 1}")
-    gen = pow(ctx.primitive_root, (ctx.p - 1) // d, ctx.p)
-    mask = 0
-    x = 1
-    for _ in range(d):
-        mask |= 1 << x
-        x = x * gen % ctx.p
-    return MultSubgroup(d, ElementSet(ctx.p, mask))
+    return MultSubgroup(ElementSet(ctx.p, _subgroup_mask(ctx.p, d)))
 
 
 def enumerate_proper_subgroups(ctx: FieldContext) -> list[MultSubgroup]:

@@ -43,10 +43,22 @@ __all__ = [
     "run_identity_suite",
     "run_unity_suite",
     "SUITE_PRIMES",
+    "ADDITIVE_SAMPLES",
+    "GF_CASES",
+    "NEWTON_CASES",
+    "DERIVATIVE_CASES",
+    "HARMONIC_CASES",
 ]
 
 SUITE_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
                 73, 79, 83, 89, 97, 101)
+
+# sample counts that no command sets; the CLI record reports them as the *_checked fields
+ADDITIVE_SAMPLES = 200
+GF_CASES = 500
+NEWTON_CASES = 500
+DERIVATIVE_CASES = 200
+HARMONIC_CASES = 200
 
 
 def _hypothesis_pool(subgroup: MultSubgroup, lam: int) -> list[int]:
@@ -58,12 +70,10 @@ def _hypothesis_pool(subgroup: MultSubgroup, lam: int) -> list[int]:
 
 @dataclass(frozen=True)
 class StepanovSuiteResult:
-    instances: int
     lam_in_g_instances: int
     general_equalities: int
     shifted_equalities: int
     anomalies: tuple
-    additive_checked: int
     additive_failures: tuple
     flagship_degree: int
     flagship_tight: bool
@@ -169,13 +179,9 @@ def _flagship_audit():
     return audit.degree, tight
 
 
-def run_stepanov_suite(
-    *,
-    instances: int = 1000,
-    additive_samples: int = 200,
-    seed: int = 20260815,
-) -> StepanovSuiteResult:
-    """Audit `instances` sampled hypothesis-satisfying tuples plus flagships.
+def run_stepanov_suite(*, instances: int, seed: int) -> StepanovSuiteResult:
+    """Audit `instances` sampled hypothesis-satisfying tuples, ADDITIVE_SAMPLES
+    additive ones, and the flagships.
 
     Bound or structure failures raise immediately (audit_instance does the
     raising); a vanishing auxiliary polynomial is recorded as an anomaly.
@@ -199,7 +205,7 @@ def run_stepanov_suite(
         shifted_eq += audit.shifted_equality
 
     additive_failures = []
-    for _ in range(additive_samples):
+    for _ in range(ADDITIVE_SAMPLES):
         a_set, b_set, subgroup = _sample_additive(rng)
         if not check_hp_additive_bound(a_set, b_set, subgroup):
             additive_failures.append(
@@ -219,12 +225,10 @@ def run_stepanov_suite(
         anomalies.append((13, (1,), (2, 3), 1, 6))
 
     return StepanovSuiteResult(
-        instances=instances,
         lam_in_g_instances=lam_in_g,
         general_equalities=general_eq,
         shifted_equalities=shifted_eq,
         anomalies=tuple(anomalies),
-        additive_checked=additive_samples,
         additive_failures=tuple(additive_failures),
         flagship_degree=flagship_degree,
         flagship_tight=flagship_tight,
@@ -233,10 +237,6 @@ def run_stepanov_suite(
 
 @dataclass(frozen=True)
 class IdentitySuiteResult:
-    gf_checked: int
-    newton_checked: int
-    derivative_checked: int
-    harmonic_checked: int
     failures: tuple
 
     @property
@@ -244,26 +244,19 @@ class IdentitySuiteResult:
         return not self.failures
 
 
-def run_identity_suite(
-    *,
-    gf_cases: int = 500,
-    newton_cases: int = 500,
-    derivative_cases: int = 200,
-    harmonic_cases: int = 200,
-    seed: int = 20260815,
-) -> IdentitySuiteResult:
+def run_identity_suite(*, seed: int) -> IdentitySuiteResult:
     """Exact identity fuzzing; every failure is collected with its inputs."""
     rng = random.Random(seed)
     failures = []
 
-    for _ in range(gf_cases):
+    for _ in range(GF_CASES):
         p = rng.choice(SUITE_PRIMES)
         n = rng.randint(1, 8)
         a = ElementSet.from_elements(p, rng.sample(range(1, p), n))
         if not check_gf_identity(a):
             failures.append(("gf", p, a.elements()))
 
-    for _ in range(newton_cases):
+    for _ in range(NEWTON_CASES):
         p = rng.choice(SUITE_PRIMES)
         ctx = make_field(p)
         size = rng.randint(1, 8)
@@ -277,7 +270,7 @@ def run_identity_suite(
         if from_sums != from_roots or rebuilt != direct or list(roots) != multiset:
             failures.append(("newton", p, tuple(multiset)))
 
-    for _ in range(derivative_cases):
+    for _ in range(DERIVATIVE_CASES):
         p = rng.choice(SUITE_PRIMES)
         b = rng.randrange(p)
         n = rng.randint(1, 4)
@@ -289,27 +282,18 @@ def run_identity_suite(
         if not check_derivative_ratio(h, b, n):
             failures.append(("derivative", p, tuple(coeffs), b, n))
 
-    for _ in range(harmonic_cases):
+    for _ in range(HARMONIC_CASES):
         p = rng.choice(SUITE_PRIMES)
         m = rng.randint(1, 10)
         b_set = ElementSet.from_elements(p, rng.sample(range(1, p), m))
         if not harmonic_sum_identity(b_set):
             failures.append(("harmonic", p, b_set.elements()))
 
-    return IdentitySuiteResult(
-        gf_checked=gf_cases,
-        newton_checked=newton_cases,
-        derivative_checked=derivative_cases,
-        harmonic_checked=harmonic_cases,
-        failures=tuple(failures),
-    )
+    return IdentitySuiteResult(failures=tuple(failures))
 
 
 @dataclass(frozen=True)
 class UnitySuiteResult:
-    claim_orders_checked: int
-    decomposition_orders_checked: int
-    classified_orders: tuple[int, ...]
     claim_failures: tuple[int, ...]
     decomposition_witnesses: tuple
     max_quadruple_class: int
@@ -319,12 +303,8 @@ class UnitySuiteResult:
         return not self.claim_failures and not self.decomposition_witnesses
 
 
-def run_unity_suite(
-    *,
-    claim_max: int = 100,
-    decomposition_max: int = 50,
-    classify_max: int = 8,
-) -> UnitySuiteResult:
+def run_unity_suite(*, claim_max: int, decomposition_max: int,
+                    classify_max: int) -> UnitySuiteResult:
     """Product-distinctness for m <= claim_max, empty 2x2 search for
     m <= decomposition_max, and the full dihedral classification for
     3 <= m <= classify_max (which raises TheoremViolation on any miss)."""
@@ -340,14 +320,10 @@ def run_unity_suite(
     for m in range(3, decomposition_max + 1):
         decomposition_witnesses.extend(search_2x2_decomposition(m))
 
-    classified = tuple(range(3, classify_max + 1))
-    for m in classified:
+    for m in range(3, classify_max + 1):
         classify_circle_preserving_maps(m)
 
     return UnitySuiteResult(
-        claim_orders_checked=claim_max - 2,
-        decomposition_orders_checked=decomposition_max - 2,
-        classified_orders=classified,
         claim_failures=tuple(claim_failures),
         decomposition_witnesses=tuple(decomposition_witnesses),
         max_quadruple_class=max_class,

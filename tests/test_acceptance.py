@@ -7,6 +7,9 @@ full verification battery.  Budgets assume a single desk-machine core.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
 import time
 
@@ -18,12 +21,10 @@ from shiftdecomp import (
     TheoremViolation,
     audit_theorems,
     canonical_product_witness,
+    cli,
     make_field,
     max_difference_clique,
     reproduce_counterexamples,
-    run_identity_suite,
-    run_stepanov_suite,
-    run_unity_suite,
     subgroup_of_order,
 )
 
@@ -208,48 +209,58 @@ def test_criterion_6_clique_bound():
     )
 
 
+def _suite_record(*argv: str) -> tuple[int, dict]:
+    """Exit code and the one record of a suite command at its default settings."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    (record,) = [json.loads(line) for line in out.getvalue().splitlines()]
+    return code, record
+
+
 def test_criterion_7_stepanov_suite():
     start = time.perf_counter()
-    result = run_stepanov_suite(instances=1000, additive_samples=200)
+    code, record = _suite_record("stepanov", "audit")
     elapsed = time.perf_counter() - start
 
+    # passed also requires the flagship instance to be tight
     ok = (
-        result.instances == 1000
-        and result.anomalies == ()
-        and result.additive_failures == ()
-        and result.general_equalities > 0
-        and result.shifted_equalities > 0
-        and result.flagship_degree == 6
-        and result.flagship_tight
-        and result.passed
+        code == 0
+        and record["instances"] == 1000
+        and record["additive_checked"] == 200
+        and record["anomalies"] == 0
+        and record["additive_failures"] == 0
+        and record["general_equalities"] > 0
+        and record["shifted_equalities"] > 0
+        and record["flagship_degree"] == 6
+        and record["passed"]
     )
     _finish(
         7,
         ok,
-        f"1000 instances ({result.lam_in_g_instances} with the shift inside G, "
-        f"{result.general_equalities}+{result.shifted_equalities} equality "
-        f"factorizations), flagship degree {result.flagship_degree}, "
+        f"1000 instances ({record['lam_in_g_instances']} with the shift inside G, "
+        f"{record['general_equalities']}+{record['shifted_equalities']} equality "
+        f"factorizations), flagship degree {record['flagship_degree']}, "
         f"in {elapsed:.1f}s",
     )
 
 
 def test_criterion_8_identity_suite():
     start = time.perf_counter()
-    result = run_identity_suite(
-        gf_cases=500, newton_cases=500, derivative_cases=200, harmonic_cases=200
-    )
+    code, record = _suite_record("identities", "fuzz")
     elapsed = time.perf_counter() - start
 
     ok = (
-        (result.gf_checked, result.newton_checked) == (500, 500)
-        and (result.derivative_checked, result.harmonic_checked) == (200, 200)
-        and result.failures == ()
-        and result.passed
+        code == 0
+        and (record["gf_checked"], record["newton_checked"]) == (500, 500)
+        and (record["derivative_checked"], record["harmonic_checked"]) == (200, 200)
+        and record["failures"] == 0
+        and record["passed"]
     )
     _finish(
         8,
         ok,
-        f"500+500+200+200 exact identity checks, {len(result.failures)} failures, "
+        f"500+500+200+200 exact identity checks, {record['failures']} failures, "
         f"in {elapsed:.1f}s",
     )
 
@@ -257,16 +268,17 @@ def test_criterion_8_identity_suite():
 def test_criterion_9_unity_suite():
     budget = 120.0
     start = time.perf_counter()
-    result = run_unity_suite(claim_max=100, decomposition_max=50, classify_max=8)
+    code, record = _suite_record("unity", "audit")
     elapsed = time.perf_counter() - start
 
     ok = (
-        result.claim_orders_checked == 98
-        and result.claim_failures == ()
-        and result.decomposition_orders_checked == 48
-        and result.decomposition_witnesses == ()
-        and result.classified_orders == (3, 4, 5, 6, 7, 8)
-        and result.passed
+        code == 0
+        and record["claim_orders_checked"] == 98
+        and record["claim_failures"] == []
+        and record["decomposition_orders_checked"] == 48
+        and record["decomposition_witnesses"] == 0
+        and record["classified_orders"] == [3, 4, 5, 6, 7, 8]
+        and record["passed"]
         and elapsed < budget
     )
     _finish(

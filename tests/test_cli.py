@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -11,7 +12,8 @@ import re
 import pytest
 
 from shiftdecomp import cli
-from shiftdecomp.suites import IdentitySuiteResult
+from shiftdecomp.suites import IdentitySuiteResult, StepanovSuiteResult, UnitySuiteResult
+from shiftdecomp.unity import DecompositionWitness
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -151,6 +153,19 @@ PINNED_STREAMS = {
         (0, "754b7f6ae61b26bba71e2ee001e10d3c95fe6294a51753c40d052fbd04f4a5e7", _EMPTY),
     ("reproduce", "counterexamples"):
         (0, "5dbebc8cfb262c98d5f669da73796ecb644ac03130e960f2a900d3a90ffd6b20", _EMPTY),
+    ("stepanov", "audit"):
+        (0, "616921721c24cecf6959ce2cbdfcbc5ddacaa964bec5ed324ed74847854f07d2", _EMPTY),
+    ("stepanov", "audit", "--instances", "200", "--seed", "3"):
+        (0, "401af7fb91c7cef471cca85aa4f9393950768bc9f6cedb185f59c25c1fe6417d", _EMPTY),
+    # the identity record holds only counts, so another seed prints the same bytes
+    ("identities", "fuzz"):
+        (0, "acdf402b4c878cb5ec7babe0dcb5a397c5987ef269b028c6664bc146a46fe1e1", _EMPTY),
+    ("identities", "fuzz", "--seed", "2"):
+        (0, "acdf402b4c878cb5ec7babe0dcb5a397c5987ef269b028c6664bc146a46fe1e1", _EMPTY),
+    ("unity", "audit"):
+        (0, "dc4c4f92adfde93ee0e54cca231401575b561594f4a7eaa0dd80c6421ec099a6", _EMPTY),
+    ("unity", "audit", "--mmax-claim", "20", "--mmax-pairs", "10", "--mmax-maps", "4"):
+        (0, "ac66c4bddbbc3f22b72cd97214a9720a0bf28ec256f1200f82a21c01d148c767", _EMPTY),
 }
 
 
@@ -294,7 +309,7 @@ class TestSuiteCommands:
         assert summary["decomposition_witnesses"] == 0
 
     def test_failing_suite_prints_its_record_and_exits_two(self, monkeypatch):
-        failing = IdentitySuiteResult(1, 0, 0, 0, failures=(("gf", 11, (1, 2)),))
+        failing = IdentitySuiteResult(failures=(("gf", 11, (1, 2)),))
         monkeypatch.setattr(cli, "run_identity_suite", lambda seed: failing)
         code, out, err = run_cli("identities", "fuzz")
         assert code == 2
@@ -302,3 +317,35 @@ class TestSuiteCommands:
         assert summary["passed"] is False
         assert summary["failures"] == 1
         assert err == f"VIOLATION: identity suite failed: {failing}\n"
+
+    _STEPANOV_PASSING = StepanovSuiteResult(
+        lam_in_g_instances=1, general_equalities=1, shifted_equalities=1, anomalies=(),
+        additive_failures=(), flagship_degree=6, flagship_tight=True)
+    _UNITY_PASSING = UnitySuiteResult(claim_failures=(), decomposition_witnesses=(),
+                                      max_quadruple_class=4)
+
+    # (runner, argv, result field, its failing value, the record fields it sets)
+    @pytest.mark.parametrize("runner,argv,field,value,written", [
+        ("run_stepanov_suite", ("stepanov", "audit"), "anomalies",
+         ((11, (1, 7), (1, 2, 3), 2, 5),), {"anomalies": 1, "additive_failures": 0}),
+        ("run_stepanov_suite", ("stepanov", "audit"), "additive_failures",
+         ((13, (0, 2), (0,), 6),), {"anomalies": 0, "additive_failures": 1}),
+        ("run_unity_suite", ("unity", "audit"), "claim_failures",
+         (7, 9), {"claim_failures": [7, 9], "decomposition_witnesses": 0}),
+        ("run_unity_suite", ("unity", "audit"), "decomposition_witnesses",
+         (DecompositionWitness(a=(1, 2j), b=(-1j, 3)),),
+         {"claim_failures": [], "decomposition_witnesses": 1}),
+    ], ids=["stepanov-anomaly", "stepanov-additive", "unity-claim", "unity-decomposition"])
+    def test_failing_result_is_counted_and_exits_two(self, monkeypatch, runner, argv,
+                                                     field, value, written):
+        passing = self._STEPANOV_PASSING if argv[0] == "stepanov" else self._UNITY_PASSING
+        failing = dataclasses.replace(passing, **{field: value})
+        monkeypatch.setattr(cli, runner, lambda **kwargs: failing)
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        (summary,) = parse_lines(out)
+        assert summary["passed"] is False
+        assert {key: summary[key] for key in written} == written
+        (line,) = err.splitlines()
+        assert line.startswith(f"VIOLATION: {argv[0]} suite failed: ")
+        assert f"{field}={value!r}" in line

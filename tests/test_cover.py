@@ -87,7 +87,7 @@ def _audit_covers(p: int):
     G - lambda for the first coset representative lambda outside G, and G for sums."""
     ctx = make_field(p)
     for g in enumerate_proper_subgroups(ctx):
-        outside = next(x for x in _coset_representatives(ctx, g) if x not in g.elements)
+        outside = next(x for x in _coset_representatives(g) if x not in g.elements)
         for lam in (1, outside):
             target = build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=lam)
             if target:  # G - 1 is empty for |G| = 1

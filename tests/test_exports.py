@@ -1,6 +1,7 @@
 """Every exported name resolves, so a removed name cannot linger in an export list,
-no exported function takes a field next to an input that carries one, and the
-README library tour runs against the current API."""
+no exported function takes a field next to an input that carries one, each suite
+command sets every parameter of its suite and no other, and the README library
+tour runs against the current API."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import shiftdecomp
-from shiftdecomp import DensePoly, ElementSet, MultSubgroup
+from shiftdecomp import DensePoly, ElementSet, MultSubgroup, TheoremViolation, cli, suites
 
 MODULES = ["shiftdecomp"] + [f"shiftdecomp.{info.name}"
                              for info in pkgutil.iter_modules(shiftdecomp.__path__)]
@@ -42,6 +43,24 @@ def test_no_function_takes_a_second_field():
                                   for param in inspect.signature(fn).parameters):
             offenders.append(name)
     assert offenders == []
+
+
+@pytest.mark.parametrize("runner,argv", [
+    ("run_stepanov_suite", ("stepanov", "audit")),
+    ("run_identity_suite", ("identities", "fuzz")),
+    ("run_unity_suite", ("unity", "audit")),
+])
+def test_suite_command_sets_every_suite_parameter(monkeypatch, capsys, runner, argv):
+    # a parameter that only tests set, or one the command forgets, fails here
+    passed = {}
+
+    def record(**kwargs):
+        passed.update(kwargs)
+        raise TheoremViolation("arguments recorded")
+
+    monkeypatch.setattr(cli, runner, record)
+    assert cli.main(list(argv)) == cli.EXIT_VIOLATION
+    assert set(passed) == set(inspect.signature(getattr(suites, runner)).parameters)
 
 
 def test_readme_library_tour_runs():

@@ -6,10 +6,13 @@ import pytest
 
 from shiftdecomp import (
     MAX_PRIME,
+    ElementSet,
     MultSubgroup,
     NotADivisorError,
+    NotASubgroupError,
     NotPrimeError,
     OutOfRangeError,
+    audit_instance,
     enumerate_proper_subgroups,
     is_prime,
     make_field,
@@ -89,7 +92,28 @@ class TestSubgroups:
 
     def test_field_is_that_of_the_elements(self, f11):
         g = subgroup_of_order(f11, 5)
-        assert MultSubgroup(5, g.elements).ctx is f11
+        assert MultSubgroup(g.elements).ctx is f11
+
+    def test_order_is_the_count_of_the_elements(self, f11):
+        # a stated order of 1 for these elements once failed the flagship audit
+        g = MultSubgroup(subgroup_of_order(f11, 5).elements)
+        assert g.order == 5
+        audit = audit_instance(ElementSet.from_elements(11, [1, 7]),
+                               ElementSet.from_elements(11, [1, 2, 3]), 2, g)
+        assert audit.degree == 6
+
+    @pytest.mark.parametrize("elements", [(1, 2, 3, 4, 6), (1, 10, 3), (0, 1), (0,), ()])
+    def test_rejects_a_set_that_is_not_a_subgroup(self, elements):
+        # (1, 2, 3, 4, 6) has the size of the order-5 subgroup {1, 3, 4, 5, 9}
+        with pytest.raises(NotASubgroupError):
+            MultSubgroup(ElementSet.from_elements(11, elements))
+
+    def test_equal_exactly_when_the_elements_are(self, f11):
+        g5, g2 = subgroup_of_order(f11, 5), subgroup_of_order(f11, 2)
+        assert MultSubgroup(g5.elements) == g5
+        assert hash(MultSubgroup(g5.elements)) == hash(g5)
+        assert g5 != g2
+        assert g5 != subgroup_of_order(make_field(31), 5)
 
     def test_rejects_non_divisor(self, f13):
         for d in (0, -1, 5, 7, 13):

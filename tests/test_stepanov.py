@@ -284,7 +284,7 @@ class TestVanishingPolynomial:
         assert not audit.shifted_equality
 
     def test_suite_counts_every_instance_as_an_anomaly(self):
-        r = run_stepanov_suite(instances=10, additive_samples=2, seed=1)
+        r = run_stepanov_suite(instances=10, seed=1)
         assert len(r.anomalies) == 11  # the 10 sampled instances and the pinned p = 13 one
         assert r.flagship_degree == -1
         assert not r.flagship_tight

@@ -39,14 +39,7 @@ from .field import (
     make_field,
     subgroup_of_order,
 )
-from .sets import (
-    ElementSet,
-    SetOp,
-    TargetVariant,
-    affine_image,
-    build_target,
-    compose_sets,
-)
+from .sets import ElementSet, SetOp, compose_sets
 from .poly import DensePoly, root_multiplicity
 from .symfunc import (
     elementary_from_power_sums,
@@ -88,6 +81,7 @@ from .unity import (
 from .audits import (
     AuditKind,
     audit_theorems,
+    build_target,
     primes_in_range,
     reproduce_counterexamples,
 )
@@ -116,8 +110,7 @@ __all__ = [
     "MAX_PRIME", "FieldContext", "MultSubgroup", "make_field", "is_prime",
     "subgroup_of_order", "enumerate_proper_subgroups",
     # sets
-    "ElementSet", "SetOp", "TargetVariant", "compose_sets", "affine_image",
-    "build_target",
+    "ElementSet", "SetOp", "compose_sets",
     # poly
     "DensePoly", "root_multiplicity",
     # symfunc
@@ -138,7 +131,8 @@ __all__ = [
     "mobius_fit", "check_xk_product_claim", "classify_circle_preserving_maps",
     "search_2x2_decomposition",
     # audits
-    "AuditKind", "primes_in_range", "audit_theorems", "reproduce_counterexamples",
+    "AuditKind", "build_target", "primes_in_range", "audit_theorems",
+    "reproduce_counterexamples",
     # suites
     "StepanovSuiteResult", "IdentitySuiteResult", "UnitySuiteResult",
     "run_stepanov_suite", "run_identity_suite", "run_unity_suite",

@@ -4,7 +4,8 @@ Every audited claim is quantified first over a proper subgroup G of F_p^*, so
 an audit expands into a canonically ordered list of independent tasks, one per
 (p, |G|).  A task builds its field and subgroup once and returns that
 subgroup's records in canonical order: one per shift lambda, per shifted coset
-(variant, xi, mu), or the single record of G itself.  Workers are stateless,
+(variant, xi, mu), or the single record of G itself.  Every target is one
+affine image of G, built by ``build_target``.  Workers are stateless,
 so records are deterministic for a fixed configuration regardless of worker
 count; unexpected witnesses raise one TheoremViolation carrying every record.
 """
@@ -17,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from enum import Enum
 from math import isqrt
 
-from .errors import InternalMismatchError, TheoremViolation
+from .errors import InternalMismatchError, TheoremViolation, ZeroScaleError
 from .field import (
     MultSubgroup,
     is_prime,
@@ -34,10 +35,11 @@ from .search import (
     max_difference_clique,
     scale_product_report,
 )
-from .sets import ElementSet, SetOp, TargetVariant, build_target
+from .sets import ElementSet, SetOp
 
 __all__ = [
     "AuditKind",
+    "build_target",
     "primes_in_range",
     "audit_theorems",
     "reproduce_counterexamples",
@@ -95,6 +97,26 @@ def _build_tasks(kind: AuditKind, p_min: int, p_max: int,
     return tasks
 
 
+def build_target(subgroup: MultSubgroup, scale: int, shift: int,
+                 with_zero: bool) -> ElementSet:
+    """{scale * g + shift : g in G} \\ {0}, plus shift, the image of 0, when with_zero.
+
+    Every audited target is one such image; a scale of 0 mod p raises ZeroScaleError.
+    """
+    p = subgroup.ctx.p
+    scale %= p
+    shift %= p
+    if scale == 0:
+        raise ZeroScaleError("a target needs a nonzero scale")
+    mask = 0
+    for g in subgroup.elements:
+        mask |= 1 << ((scale * g + shift) % p)
+    mask &= ~1
+    if with_zero:
+        mask |= 1 << shift
+    return ElementSet(p, mask)
+
+
 def _targets(kind: AuditKind, subgroup: MultSubgroup):
     """Yield (record params, target) for each record of one subgroup, in canonical order.
 
@@ -105,19 +127,18 @@ def _targets(kind: AuditKind, subgroup: MultSubgroup):
             lam for lam in _coset_representatives(subgroup)
             if lam not in subgroup.elements]
         for lam in shifts:
-            yield {"lambda": lam}, build_target(subgroup, TargetVariant.SHIFT_MINUS_LAMBDA,
-                                                lam=lam)
+            yield {"lambda": lam}, build_target(subgroup, 1, -lam, with_zero=False)
     elif kind is AuditKind.SHIFTED_RATIO:
         reps = _coset_representatives(subgroup)
-        for variant in (TargetVariant.XI_SHIFT, TargetVariant.XI_SHIFT_WITH_ZERO):
+        for variant, with_zero in (("xi-shift", False), ("xi-shift-with-zero", True)):
             for xi in reps:
                 for mu in range(1, subgroup.ctx.p):
-                    yield ({"variant": variant.value, "xi": xi, "mu": mu},
-                           build_target(subgroup, variant, xi=xi, mu=mu))
+                    yield ({"variant": variant, "xi": xi, "mu": mu},
+                           build_target(subgroup, xi, mu, with_zero=with_zero))
     elif kind is AuditKind.LEV_SONN_DIFFERENCE:
-        yield {}, build_target(subgroup, TargetVariant.G_UNION_ZERO)
+        yield {}, build_target(subgroup, 1, 0, with_zero=True)
     elif kind is AuditKind.KALMYNIN_SUM:
-        yield {}, subgroup.elements
+        yield {}, build_target(subgroup, 1, 0, with_zero=False)
     else:
         yield {"clique": max_difference_clique(subgroup)}, None
 

@@ -34,7 +34,7 @@ class ZeroDivisorError(ShiftDecompError):
 
 
 class ZeroScaleError(ShiftDecompError):
-    """Affine image requested with scale factor zero."""
+    """A target requested with scale factor zero."""
 
 
 class ZeroParameterError(ShiftDecompError):

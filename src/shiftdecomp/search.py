@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import MissingZeroError, ZeroElementError, ZeroInTargetError
 from .field import FieldContext, MultSubgroup, make_field
-from .sets import ElementSet, SetOp, compose_sets
+from .sets import ElementSet, SetOp, compose_sets, mask_elements
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,6 @@ def _rotate(mask: int, shift: int, modulus: int, full: int) -> int:
     if shift == 0:
         return mask
     return ((mask << shift) | (mask >> (modulus - shift))) & full
-
-
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def canonical_product_witness(
@@ -210,7 +201,7 @@ def _product_search(
     pow_table = ctx.power_table
     canon = set()
     for a_mask, b_shifts in raw:
-        a_res = [pow_table[i] for i in _mask_to_tuple(a_mask)]
+        a_res = [pow_table[i] for i in mask_elements(a_mask)]
         b_res = [pow_table[s] for s in b_shifts]
         canon.add(canonical_product_witness(ctx, a_res, b_res))
     return sorted(canon), nodes
@@ -224,7 +215,7 @@ def _sum_search(
     raw, nodes = _translate_cover(p, target.mask, min_size)
     canon = set()
     for a_mask, b_shifts in raw:
-        a_elems = _mask_to_tuple(a_mask)
+        a_elems = mask_elements(a_mask)
         for t in range(p):
             a = tuple(sorted((x + t) % p for x in a_elems))
             b = tuple(sorted((s - t) % p for s in b_shifts))
@@ -332,7 +323,7 @@ def factorization_oracle(
         top = min(size - 1, len(universe))
         for combo, amask in _intersection_walk(universe, inv_masks, smask, min_size,
                                                min_size - 1, top):
-            a_elems = _mask_to_tuple(amask)
+            a_elems = mask_elements(amask)
             b_elems = (1,) + combo
             covered = {a * b % p for b in b_elems for a in a_elems}
             if covered == tset:
@@ -342,7 +333,7 @@ def factorization_oracle(
         shifted = [_rotate(target.mask, (p - b) % p, p, full) for b in range(p)]
         for combo, amask in _intersection_walk(range(p), shifted, full, min_size,
                                                min_size, min(size, p)):
-            a_elems = _mask_to_tuple(amask)
+            a_elems = mask_elements(amask)
             covered = {(a + b) % p for b in combo for a in a_elems}
             if covered == tset:
                 found.add(tuple(sorted((a_elems, combo))))
@@ -399,7 +390,7 @@ def _difference_graph(n: int, tmask: int) -> tuple[list[int], dict[int, int]]:
     clique search intersects them with a subset of S.
     """
     full = (1 << n) - 1
-    verts = [x for x in _mask_to_tuple(tmask) if (tmask >> (-x % n)) & 1]
+    verts = [x for x in mask_elements(tmask) if (tmask >> (-x % n)) & 1]
     s_mask = 0
     for x in verts:
         s_mask |= 1 << x
@@ -413,7 +404,7 @@ def _difference_representations(n: int, tmask: int) -> tuple[list[tuple[int, ...
     cliques, nodes = _maximal_cliques(verts, adj)
     witnesses = []
     for cm in cliques:
-        elems = _mask_to_tuple(cm)
+        elems = mask_elements(cm)
         got = 0
         for y in elems:
             got |= _rotate(cm, (n - y) % n, n, full)

@@ -1,19 +1,21 @@
-"""Subset algebra over Z/pZ: bitmask sets, sumsets, product sets, shifted targets."""
+"""Subset algebra over Z/pZ: bitmask sets and their sums, differences, products and ratios."""
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
-from .errors import (
-    ModulusMismatchError,
-    ZeroDivisorError,
-    ZeroParameterError,
-    ZeroScaleError,
-)
+from .errors import ModulusMismatchError, ZeroDivisorError
 
-if TYPE_CHECKING:
-    from .field import MultSubgroup
+
+def mask_elements(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 class ElementSet:
@@ -38,14 +40,10 @@ class ElementSet:
         return cls(p, mask)
 
     def elements(self) -> tuple[int, ...]:
-        return tuple(self)
+        return mask_elements(self.mask)
 
     def __iter__(self):
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return iter(mask_elements(self.mask))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -107,53 +105,3 @@ def compose_sets(x: ElementSet, y: ElementSet, op: SetOp) -> ElementSet:
         for a in xs:
             mask |= 1 << _composed_value(a, b, op, p)
     return ElementSet(p, mask)
-
-
-def affine_image(x: ElementSet, scale: int, shift: int, drop_zero: bool = False) -> ElementSet:
-    """The set {scale * a + shift : a in x}, optionally with 0 removed."""
-    p = x.p
-    scale %= p
-    shift %= p
-    if scale == 0:
-        raise ZeroScaleError("affine image needs a nonzero scale")
-    mask = 0
-    for a in x:
-        mask |= 1 << ((scale * a + shift) % p)
-    if drop_zero:
-        mask &= ~1
-    return ElementSet(p, mask)
-
-
-class TargetVariant(enum.Enum):
-    SHIFT_MINUS_LAMBDA = "shift-minus-lambda"
-    XI_SHIFT = "xi-shift"
-    XI_SHIFT_WITH_ZERO = "xi-shift-with-zero"
-    G_UNION_ZERO = "g-union-zero"
-
-
-def build_target(
-    subgroup: "MultSubgroup",
-    variant: TargetVariant,
-    *,
-    lam: int | None = None,
-    xi: int | None = None,
-    mu: int | None = None,
-) -> ElementSet:
-    """Shifted-subgroup target sets consumed by the decomposition searches."""
-    g = subgroup.elements
-    p = g.p
-    if variant is TargetVariant.SHIFT_MINUS_LAMBDA:
-        if lam is None or lam % p == 0:
-            raise ZeroParameterError("shift parameter must be nonzero")
-        return affine_image(g, 1, -lam, drop_zero=True)
-    if variant in (TargetVariant.XI_SHIFT, TargetVariant.XI_SHIFT_WITH_ZERO):
-        if xi is None or xi % p == 0 or mu is None or mu % p == 0:
-            raise ZeroParameterError("scale and shift parameters must be nonzero")
-        image = affine_image(g, xi, mu, drop_zero=True)
-        if variant is TargetVariant.XI_SHIFT_WITH_ZERO:
-            # adjoining 0 to xi*G before shifting contributes the extra element mu
-            image = image.with_element(mu)
-        return image
-    if variant is TargetVariant.G_UNION_ZERO:
-        return g.with_element(0)
-    raise ValueError(f"unknown target variant: {variant!r}")

@@ -10,7 +10,6 @@ import pytest
 from shiftdecomp import (
     AuditKind,
     SetOp,
-    TargetVariant,
     TheoremViolation,
     audit_theorems,
     audits,
@@ -95,8 +94,7 @@ class TestRecordContract:
         recs = audit_theorems(3, 31, AuditKind.SARKOZY_PRODUCT)
         # |G| = 1 has the empty target (G - 1) \ {0}, which is never searched
         assert searched == [
-            (p, build_target(subgroup_of_order(make_field(p), d),
-                             TargetVariant.SHIFT_MINUS_LAMBDA, lam=1))
+            (p, build_target(subgroup_of_order(make_field(p), d), 1, -1, with_zero=False))
             for p in primes_in_range(3, 31) for d in proper_orders(p) if d > 1]
         assert all((r["nodes"] > 0) == (r["params"]["lambda"] == 1 and r["subgroup_order"] > 1)
                    for r in recs)
@@ -200,8 +198,8 @@ class TestProductAudit:
                       for r in recs if r["params"]["lambda"] == 1}
         for r in recs:
             p, order, lam = r["p"], r["subgroup_order"], r["params"]["lambda"]
-            target = build_target(subgroup_of_order(make_field(p), order),
-                                  TargetVariant.SHIFT_MINUS_LAMBDA, lam=lam)
+            target = build_target(subgroup_of_order(make_field(p), order), 1, -lam,
+                                  with_zero=False)
             if not target:
                 assert (order, r["witnesses"], r["nodes"]) == (1, [], 0)
                 continue

@@ -17,7 +17,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shiftdecomp import (
-    TargetVariant,
     build_target,
     enumerate_proper_subgroups,
     make_field,
@@ -89,7 +88,7 @@ def _audit_covers(p: int):
     for g in enumerate_proper_subgroups(ctx):
         outside = next(x for x in _coset_representatives(g) if x not in g.elements)
         for lam in (1, outside):
-            target = build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=lam)
+            target = build_target(g, 1, -lam, with_zero=False)
             if target:  # G - 1 is empty for |G| = 1
                 yield f"product |G|={g.order} lambda={lam}", p - 1, _log_mask(ctx, target)
         yield f"sum |G|={g.order}", p, g.elements.mask

@@ -1,10 +1,11 @@
 """Every exported name resolves, so a removed name cannot linger in an export list,
-no exported function takes a field next to an input that carries one, each suite
-command sets every parameter of its suite and no other, and the README library
-tour runs against the current API."""
+no exported function takes a field next to an input that carries one, the set
+algebra layer imports no other layer, each suite command sets every parameter of
+its suite and no other, and the README library tour runs against the current API."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -43,6 +44,21 @@ def test_no_function_takes_a_second_field():
                                   for param in inspect.signature(fn).parameters):
             offenders.append(name)
     assert offenders == []
+
+
+def test_sets_imports_only_errors():
+    # sets is the bottom layer: bitmask set algebra that knows no field or subgroup
+    source = Path(shiftdecomp.__file__).with_name("sets.py").read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = ["shiftdecomp." + (node.module or "")] if node.level else [node.module]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        imported.update(name for name in names if name.partition(".")[0] == "shiftdecomp")
+    assert imported == {"shiftdecomp.errors"}
 
 
 @pytest.mark.parametrize("runner,argv", [

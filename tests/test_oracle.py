@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from shiftdecomp import (
     SetOp,
-    TargetVariant,
     build_target,
     canonical_product_witness,
     factorization_oracle,
@@ -86,7 +85,7 @@ def _audit_targets(p_max: int):
         for order in proper_orders(p):
             subgroup = subgroup_of_order(ctx, order)
             for lam in range(1, p):
-                target = build_target(subgroup, TargetVariant.SHIFT_MINUS_LAMBDA, lam=lam)
+                target = build_target(subgroup, 1, -lam, with_zero=False)
                 if target:
                     yield ctx, target, SetOp.PRODUCT
             yield ctx, subgroup.elements, SetOp.SUM

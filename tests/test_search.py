@@ -14,7 +14,6 @@ from shiftdecomp import (
     MissingZeroError,
     NotPrimeError,
     SetOp,
-    TargetVariant,
     ZeroElementError,
     ZeroInTargetError,
     build_target,
@@ -75,7 +74,7 @@ class TestCanonicalForms:
 class TestProductSearch:
     def test_f11_shifted_subgroup(self, f11):
         g = subgroup_of_order(f11, 5)
-        target = build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=2)
+        target = build_target(g, 1, -2, with_zero=False)
         assert target.elements() == (1, 2, 3, 7, 10)
         report = find_exact_factorizations(target, SetOp.PRODUCT)
         assert report.exhaustive
@@ -85,20 +84,20 @@ class TestProductSearch:
 
     def test_f19_shifted_subgroup(self, f19):
         g = subgroup_of_order(f19, 6)
-        target = build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=2)
+        target = build_target(g, 1, -2, with_zero=False)
         report = find_exact_factorizations(target, SetOp.PRODUCT)
         assert [(w.a, w.b) for w in report.witnesses] == [((5, 9), (1, 2, 7))]
 
     def test_no_witnesses_for_lambda_in_g(self, f13):
         g = subgroup_of_order(f13, 3)  # {1, 3, 9}
-        target = build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=3)
+        target = build_target(g, 1, -3, with_zero=False)
         report = find_exact_factorizations(target, SetOp.PRODUCT)
         assert report.witnesses == ()
         assert report.exhaustive
 
     def test_min_size_filters(self, f11):
         g = subgroup_of_order(f11, 5)
-        target = build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=2)
+        target = build_target(g, 1, -2, with_zero=False)
         report = find_exact_factorizations(target, SetOp.PRODUCT, min_size=3)
         assert report.witnesses == ()
 
@@ -110,7 +109,7 @@ class TestProductSearch:
 
     def test_report_metadata(self, f11):
         g = subgroup_of_order(f11, 5)
-        target = build_target(g, TargetVariant.SHIFT_MINUS_LAMBDA, lam=2)
+        target = build_target(g, 1, -2, with_zero=False)
         report = find_exact_factorizations(target, SetOp.PRODUCT)
         assert [w.kind for w in report.witnesses] == [SetOp.PRODUCT]
         assert report.exhaustive
@@ -391,12 +390,12 @@ def _audit_targets(p: int) -> tuple[list[ElementSet], list[ElementSet]]:
     ctx = make_field(p)
     ratio, difference = {}, {}
     for g in enumerate_proper_subgroups(ctx):
-        t = build_target(g, TargetVariant.G_UNION_ZERO)
+        t = build_target(g, 1, 0, with_zero=True)
         difference[t.mask] = t
-        for variant in (TargetVariant.XI_SHIFT, TargetVariant.XI_SHIFT_WITH_ZERO):
+        for with_zero in (False, True):
             for xi in range(1, p):
                 for mu in range(1, p):
-                    t = build_target(g, variant, xi=xi, mu=mu)
+                    t = build_target(g, xi, mu, with_zero=with_zero)
                     if t:
                         ratio[t.mask] = t
     return list(ratio.values()), list(difference.values())

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from enum import Enum
 from math import isqrt
 
@@ -283,6 +282,9 @@ def audit_theorems(
     tasks = _build_tasks(kind, p_min, p_max, orders, oracle)
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
+        # imported here so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_task = list(pool.map(_execute_task, tasks))
     else:

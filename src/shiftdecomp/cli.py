@@ -122,8 +122,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(records, handle) -> None:
     """Write each record as one sorted-key JSON line as soon as it is serialized."""
+    encode = json.JSONEncoder(sort_keys=True).encode
     for record in records:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
+        handle.write(encode(record) + "\n")
 
 
 def _violation(exc: Exception) -> int:

@@ -271,19 +271,24 @@ def _intersection_walk(
     A is ``a_mask`` intersected with ``masks[b]`` for the b of the prefix;
     yields (B, A), depth-first in pool order.  A prefix whose A has fallen
     below min_size is never extended: a flat enumeration would reject every
-    combination that starts with it at that prefix.
+    combination that starts with it at that prefix.  The walk keeps its
+    frontier on one explicit stack of (next pool index, B, A), children
+    pushed last first so they pop in pool order, so each pair costs one
+    resumption of this generator rather than one per level of a recursion.
     """
-    def walk(start: int, combo: tuple[int, ...], amask: int):
-        if len(combo) >= k_lo:
+    pool_masks = [masks[b] for b in pool]
+    stack = [(0, (), a_mask)]
+    last = len(pool) - 1
+    while stack:
+        start, combo, amask = stack.pop()
+        depth = len(combo)
+        if depth >= k_lo:
             yield combo, amask
-        if len(combo) < k_hi:
-            for i in range(start, len(pool)):
-                b = pool[i]
-                trimmed = amask & masks[b]
+        if depth < k_hi:
+            for i in range(last, start - 1, -1):
+                trimmed = amask & pool_masks[i]
                 if trimmed.bit_count() >= min_size:
-                    yield from walk(i + 1, combo + (b,), trimmed)
-
-    return walk(0, (), a_mask)
+                    stack.append((i + 1, combo + (pool[i],), trimmed))
 
 
 def factorization_oracle(
@@ -291,17 +296,21 @@ def factorization_oracle(
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Naive reference enumeration of the same canonical witnesses.
 
-    B is walked depth-first over subsets of its candidates, A is the
-    intersection of the T/b (products, 1 in B) or the T - b (sums), and each
-    (A, B) is checked by direct arithmetic.  The walk stops only by the
-    definition: a prefix of B whose A has fewer than min_size elements is not
-    extended.  A only shrinks as B grows, so every combination below such a
-    prefix fails too, and the walk checks exactly the combinations a flat
-    enumeration would.  It uses nothing of the engine (no discrete logs, no
-    seeding, no cover cut) and is meant for p <= 31 cross-checks.  SUM stays
-    unseeded, B ranging over all of Z_p, so it checks the engine's
-    translation reduction independently.  Like the search, it runs in the
-    target's own field.
+    B is walked depth-first over subsets of its candidates, on an explicit
+    stack, A is the intersection of the T/b (products, 1 in B) or the T - b
+    (sums), and each (A, B) is checked by direct arithmetic.  The walk stops
+    only by the definition: a prefix of B whose A has fewer than min_size
+    elements is not extended.  A only shrinks as B grows, so every
+    combination below such a prefix fails too, and the walk checks exactly
+    the combinations a flat enumeration would.  A pair with |A|*|B| < |T| is
+    rejected by that count alone, before any arithmetic.  That is not a cut
+    of the search: it prunes no subtree and reads nothing of the engine.  A
+    lies inside T/b (or T - b) for every b in B, so A op B lies inside T, and
+    A op B has at most |A|*|B| elements, so such a pair cannot equal T.  The
+    oracle uses nothing of the engine (no discrete logs, no seeding, no cover
+    cut) and is meant for p <= 31 cross-checks.  SUM stays unseeded, B
+    ranging over all of Z_p, so it checks the engine's translation reduction
+    independently.  Like the search, it runs in the target's own field.
     """
     ctx = make_field(target.p)
     p = ctx.p
@@ -323,6 +332,8 @@ def factorization_oracle(
         top = min(size - 1, len(universe))
         for combo, amask in _intersection_walk(universe, inv_masks, smask, min_size,
                                                min_size - 1, top):
+            if amask.bit_count() * (len(combo) + 1) < size:
+                continue
             a_elems = mask_elements(amask)
             b_elems = (1,) + combo
             covered = {a * b % p for b in b_elems for a in a_elems}
@@ -333,6 +344,8 @@ def factorization_oracle(
         shifted = [_rotate(target.mask, (p - b) % p, p, full) for b in range(p)]
         for combo, amask in _intersection_walk(range(p), shifted, full, min_size,
                                                min_size, min(size, p)):
+            if amask.bit_count() * len(combo) < size:
+                continue
             a_elems = mask_elements(amask)
             covered = {(a + b) % p for b in combo for a in a_elems}
             if covered == tset:
@@ -398,9 +411,16 @@ def _difference_graph(n: int, tmask: int) -> tuple[list[int], dict[int, int]]:
 
 
 def _difference_representations(n: int, tmask: int) -> tuple[list[tuple[int, ...]], int]:
-    """All maximal A (0 in A) with A - A = T over Z_n; T is the bitmask ``tmask``."""
+    """All maximal A (0 in A) with A - A = T over Z_n; T is the bitmask ``tmask``.
+
+    A - A holds 0 and equals its own negative, so a T that misses 0 or
+    differs from -T has no witness and is answered with no clique search
+    (0 nodes).
+    """
     full = (1 << n) - 1
     verts, adj = _difference_graph(n, tmask)
+    if len(verts) != tmask.bit_count() or not tmask & 1:
+        return [], 0
     cliques, nodes = _maximal_cliques(verts, adj)
     witnesses = []
     for cm in cliques:

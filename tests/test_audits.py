@@ -136,7 +136,7 @@ class TestRecordContract:
             def map(self, fn, iterable, chunksize=1):
                 return map(fn, iterable)
 
-        monkeypatch.setattr(audits, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(audits.os, "cpu_count", lambda: 3)
         capped = audit_theorems(3, 13, AuditKind.SARKOZY_PRODUCT, workers=10_000)
         assert created == [3]

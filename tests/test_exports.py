@@ -1,15 +1,19 @@
 """Every exported name resolves, so a removed name cannot linger in an export list,
 no exported function takes a field next to an input that carries one, the set
 algebra layer imports no other layer, each suite command sets every parameter of
-its suite and no other, and the README library tour runs against the current API."""
+its suite and no other, importing the CLI loads no process pool, and the README
+library tour runs against the current API."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -77,6 +81,18 @@ def test_suite_command_sets_every_suite_parameter(monkeypatch, capsys, runner, a
     monkeypatch.setattr(cli, runner, record)
     assert cli.main(list(argv)) == cli.EXIT_VIOLATION
     assert set(passed) == set(inspect.signature(getattr(suites, runner)).parameters)
+
+
+def test_cli_import_loads_no_process_pool():
+    # a serial run never needs multiprocessing, so its start-up must not pay for it
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    probe = ("import sys, shiftdecomp.cli; "
+             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_readme_library_tour_runs():

@@ -2,8 +2,10 @@
 
 ``_flat_oracle`` is a frozen copy of the earlier ``factorization_oracle``: every
 combination of the candidate list, each rejected at the first prefix whose A
-drops below min_size.  The depth-first walk must check the same (B, A) pairs
-and so return the same witnesses.
+drops below min_size, and every other pair checked by direct arithmetic.  The
+depth-first walk must check the same (B, A) pairs, and the oracle, which rejects
+a pair with |A|*|B| < |T| by that count alone, must return the same witnesses at
+every min_size.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftdecomp import (
+    ElementSet,
     SetOp,
     build_target,
     canonical_product_witness,
@@ -97,6 +100,17 @@ def test_oracle_matches_flat_enumeration_on_audit_targets():
     for ctx, target, kind in cases:
         assert factorization_oracle(target, kind) == _flat_oracle(ctx, target, kind), (
             ctx.p, tuple(target), kind)
+
+
+@settings(max_examples=120)
+@given(st.sampled_from((3, 5, 7, 11, 13)), st.sampled_from((SetOp.PRODUCT, SetOp.SUM)),
+       st.sampled_from((1, 2, 3)), st.data())
+def test_oracle_matches_flat_enumeration_at_every_min_size(p, kind, min_size, data):
+    low = 1 if kind is SetOp.PRODUCT else 0
+    elems = data.draw(st.sets(st.integers(low, p - 1), min_size=1))
+    target = ElementSet.from_elements(p, elems)
+    assert factorization_oracle(target, kind, min_size) == \
+        _flat_oracle(make_field(p), target, kind, min_size)
 
 
 def _flat_pairs(pool, masks, a_mask, min_size, k_lo, k_hi):

@@ -432,6 +432,23 @@ class TestRepresentationOracle:
         assert [w.a for w in report.witnesses] == \
             _oracle_representations(p, target, SetOp.DIFFERENCE)
 
+    @given(st.sampled_from(ORACLE_PRIMES[1:]), st.sampled_from((SetOp.RATIO, SetOp.DIFFERENCE)),
+           st.data())
+    def test_asymmetric_targets_take_no_search(self, p, op, data):
+        # A op A holds the identity and is closed under inverses, so a target
+        # with x but not x^-1 has no witness and the engine searches nothing
+        ratio = op is SetOp.RATIO
+        identity = 1 if ratio else 0
+        inverse = (lambda x: pow(x, -1, p)) if ratio else (lambda x: -x % p)
+        x = data.draw(st.sampled_from([y for y in range(1, p) if inverse(y) != y]))
+        elems = data.draw(st.sets(st.integers(1 if ratio else 0, p - 1)))
+        target = ElementSet(p, ElementSet.from_elements(p, elems | {identity, x}).mask
+                            & ~(1 << inverse(x)))
+        find = find_ratio_representations if ratio else find_difference_representations
+        report = find(target)
+        assert report.witnesses == () and report.nodes == 0
+        assert _oracle_representations(p, target, op) == []
+
 
 # G = {1, 5, 8, 12}, the order-4 subgroup of F_13; every search runs in the
 # field of its target, so no call can pair G with the tables of another field

@@ -9,11 +9,9 @@ classification on the unit circle.
 
 from .errors import (
     BoundViolationError,
-    DegenerateInputError,
     FactorialOverflowError,
     HypothesisViolatedError,
     InternalMismatchError,
-    MissingZeroError,
     ModulusMismatchError,
     NonInvertibleIndexError,
     NotADivisorError,
@@ -69,13 +67,10 @@ from .search import (
     max_difference_clique,
 )
 from .unity import (
-    INF,
-    MobiusMap,
     ProductClaimVerdict,
     UnityGroup,
     check_xk_product_claim,
     classify_circle_preserving_maps,
-    mobius_fit,
     search_2x2_decomposition,
 )
 from .audits import (
@@ -102,10 +97,9 @@ __all__ = [
     "ShiftDecompError", "NotPrimeError", "OutOfRangeError", "NotADivisorError",
     "NotASubgroupError", "ZeroElementError", "ModulusMismatchError", "ZeroDivisorError",
     "ZeroScaleError", "ZeroParameterError", "ZeroInTargetError",
-    "MissingZeroError", "InternalMismatchError",
-    "ZeroPolynomialError", "HypothesisViolatedError", "BoundViolationError",
-    "UnexpectedRootError", "FactorialOverflowError", "NonInvertibleIndexError",
-    "DegenerateInputError", "TheoremViolation",
+    "InternalMismatchError", "ZeroPolynomialError", "HypothesisViolatedError",
+    "BoundViolationError", "UnexpectedRootError", "FactorialOverflowError",
+    "NonInvertibleIndexError", "TheoremViolation",
     # field
     "MAX_PRIME", "FieldContext", "MultSubgroup", "make_field", "is_prime",
     "subgroup_of_order", "enumerate_proper_subgroups",
@@ -127,9 +121,8 @@ __all__ = [
     "find_ratio_representations", "find_difference_representations",
     "max_difference_clique",
     # unity
-    "INF", "UnityGroup", "MobiusMap", "ProductClaimVerdict",
-    "mobius_fit", "check_xk_product_claim", "classify_circle_preserving_maps",
-    "search_2x2_decomposition",
+    "UnityGroup", "ProductClaimVerdict", "check_xk_product_claim",
+    "classify_circle_preserving_maps", "search_2x2_decomposition",
     # audits
     "AuditKind", "build_target", "primes_in_range", "audit_theorems",
     "reproduce_counterexamples",

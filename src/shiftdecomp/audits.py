@@ -65,16 +65,14 @@ def primes_in_range(p_min: int, p_max: int) -> list[int]:
 
 
 def _coset_representatives(subgroup: MultSubgroup) -> list[int]:
-    """Smallest element of each coset of the subgroup, ascending."""
-    p = subgroup.ctx.p
-    seen = 0
-    reps = []
-    for x in range(1, p):
-        if not (seen >> x) & 1:
-            reps.append(x)
-            for g in subgroup.elements:
-                seen |= 1 << (x * g % p)
-    return reps
+    """Smallest element of each coset of the subgroup, ascending.
+
+    G is every index-th power of the primitive root, so the coset g^i G is
+    the slice power_table[i::index] of the discrete-log table.
+    """
+    powers = subgroup.ctx.power_table
+    index = len(powers) // subgroup.order
+    return sorted(min(powers[i::index]) for i in range(index))
 
 
 def _build_tasks(kind: AuditKind, p_min: int, p_max: int,

@@ -1,4 +1,10 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+ShiftDecompError is the base of every class here.  TheoremViolation and
+BoundViolationError report a claim that failed, InternalMismatchError two
+disagreeing computations, and every other class an input that a public
+function rejects; a case that no caller can reach has no class.
+"""
 
 
 class ShiftDecompError(Exception):
@@ -45,10 +51,6 @@ class ZeroInTargetError(ShiftDecompError):
     """A multiplicative target set contains zero."""
 
 
-class MissingZeroError(ShiftDecompError):
-    """A difference-set target is missing the mandatory zero."""
-
-
 class InternalMismatchError(ShiftDecompError):
     """Two independent computations of the same value disagree."""
 
@@ -75,10 +77,6 @@ class FactorialOverflowError(ShiftDecompError):
 
 class NonInvertibleIndexError(ShiftDecompError):
     """A Newton recursion index is not invertible modulo p."""
-
-
-class DegenerateInputError(ShiftDecompError):
-    """A geometric construction received coincident points."""
 
 
 class TheoremViolation(ShiftDecompError):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import MissingZeroError, ZeroElementError, ZeroInTargetError
+from .errors import ZeroElementError, ZeroInTargetError
 from .field import FieldContext, MultSubgroup, make_field
 from .sets import ElementSet, SetOp, compose_sets, mask_elements
 
@@ -449,8 +449,6 @@ def find_ratio_representations(target: ElementSet) -> SearchReport:
 def find_difference_representations(target: ElementSet) -> SearchReport:
     """All maximal A (0 in A) with A-A = target; complete via clique enumeration."""
     p = make_field(target.p).p
-    if 0 not in target:
-        raise MissingZeroError("difference representation target must contain 0")
     witnesses, nodes = _difference_representations(p, target.mask)
     return _report(p, SetOp.DIFFERENCE, [(w,) for w in sorted(witnesses)], nodes)
 

@@ -3,8 +3,9 @@
 Three verifications for the m-th roots of unity G and the chord values
 x_k = zeta^k - 1: products x_k * x_l determine the index pair {k, l}; every
 Mobius map preserving both the unit circle and G is a rotation z -> zeta*z or
-a reflection z -> zeta/z with zeta in G; and (G - 1) \\ {0} admits no exact
-2x2 product decomposition.
+a reflection z -> zeta/z with zeta in G, checked on the one map fitted from
+(g_0, g_1, g_2) to each ordered triple of G; and (G - 1) \\ {0} admits no
+exact 2x2 product decomposition.
 
 Floats are cross-checked against exact combinatorial criteria wherever the
 structure allows one; the exact criterion is authoritative on disagreement.
@@ -17,43 +18,18 @@ import math
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .errors import DegenerateInputError, TheoremViolation
+from .errors import TheoremViolation
 
 __all__ = [
-    "INF",
     "UnityGroup",
-    "MobiusMap",
     "ProductClaimVerdict",
     "DecompositionWitness",
-    "mobius_fit",
     "check_xk_product_claim",
     "classify_circle_preserving_maps",
     "search_2x2_decomposition",
 ]
 
 DEFAULT_TOL = 1e-9
-_DET_TOL = 1e-12
-
-
-class _Infinity:
-    """Point at infinity on the Riemann sphere (explicit tag, not a big float)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INF"
-
-
-INF = _Infinity()
-
-
-def _is_inf(z) -> bool:
-    return z is INF
 
 
 @dataclass(frozen=True)
@@ -76,94 +52,28 @@ class UnityGroup:
 
     def nearest_index(self, z: complex) -> int | None:
         """Index k with |z - zeta^k| <= DEFAULT_TOL, or None."""
-        if _is_inf(z) or abs(abs(z) - 1.0) > DEFAULT_TOL:
+        if abs(abs(z) - 1.0) > DEFAULT_TOL:
             return None
         k = round(self.m * cmath.phase(z) / (2.0 * math.pi)) % self.m
         return k if abs(z - self.elements[k]) <= DEFAULT_TOL else None
 
 
-@dataclass(frozen=True)
-class MobiusMap:
-    """Fractional-linear map z -> (a z + b) / (c z + d) on the Riemann sphere."""
+def _fit(z_points, w_points):
+    """The Mobius map z -> (a z + b) / (c z + d) sending z_points[i] to w_points[i].
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    @property
-    def determinant(self) -> complex:
-        return self.a * self.d - self.b * self.c
-
-    def apply(self, z):
-        if _is_inf(z):
-            return self.a / self.c if self.c != 0 else INF
-        denom = self.c * z + self.d
-        if denom == 0:
-            return INF
-        return (self.a * z + self.b) / denom
-
-    def compose(self, other: "MobiusMap") -> "MobiusMap":
-        """self after other (matrix product of the coefficient matrices)."""
-        return MobiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
-
-    def normalized(self) -> "MobiusMap":
-        scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-        if scale == 0:
-            raise DegenerateInputError("zero coefficient matrix")
-        return MobiusMap(self.a / scale, self.b / scale, self.c / scale, self.d / scale)
-
-
-def _points_distinct(points) -> bool:
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            zi, zj = points[i], points[j]
-            if _is_inf(zi) and _is_inf(zj):
-                return False
-            if not _is_inf(zi) and not _is_inf(zj) and abs(zi - zj) <= _DET_TOL:
-                return False
-    return True
-
-
-def _triple_to_standard(z1, z2, z3) -> MobiusMap:
-    """Map sending (z1, z2, z3) to (0, 1, INF); any argument may be INF."""
-    if _is_inf(z1):
-        return MobiusMap(0.0, z2 - z3, 1.0, -z3)
-    if _is_inf(z2):
-        return MobiusMap(1.0, -z1, 1.0, -z3)
-    if _is_inf(z3):
-        return MobiusMap(1.0, -z1, 0.0, z2 - z1)
-    return MobiusMap(z2 - z3, -z1 * (z2 - z3), z2 - z1, -z3 * (z2 - z1))
-
-
-def mobius_fit(z_points, w_points) -> MobiusMap:
-    """The unique Mobius map sending z_points[i] to w_points[i] for i = 0, 1, 2.
-
-    Built by composing the two cross-ratio maps onto (0, 1, INF); INF is legal
-    on either side.
+    Each triple (z1, z2, z3) of distinct finite points goes to (0, 1, infinity)
+    under z -> (z2 - z3)(z - z1) / ((z2 - z1)(z - z3)); the fit is the map of
+    z_points followed by the inverse (adjugate) of the map of w_points, as a
+    product of 2x2 coefficient matrices.
     """
-    zs = tuple(z_points)
-    ws = tuple(w_points)
-    if len(zs) != 3 or len(ws) != 3:
-        raise ValueError("exactly three point correspondences required")
-    if not _points_distinct(zs):
-        raise DegenerateInputError(f"source points not pairwise distinct: {zs}")
-    if not _points_distinct(ws):
-        raise DegenerateInputError(f"target points not pairwise distinct: {ws}")
-    fwd = _triple_to_standard(*zs)
-    back = _triple_to_standard(*ws).inverse()
-    fitted = back.compose(fwd).normalized()
-    if abs(fitted.determinant) <= _DET_TOL:
-        raise DegenerateInputError("fitted map is numerically degenerate")
-    return fitted
+    def standard(z1, z2, z3):
+        return z2 - z3, -z1 * (z2 - z3), z2 - z1, -z3 * (z2 - z1)
+
+    a1, b1, c1, d1 = standard(*z_points)
+    a2, b2, c2, d2 = standard(*w_points)
+    a, b = d2 * a1 - b2 * c1, d2 * b1 - b2 * d1
+    c, d = a2 * c1 - c2 * a1, a2 * d1 - c2 * b1
+    return lambda z: (a * z + b) / (c * z + d)
 
 
 @dataclass(frozen=True)
@@ -247,29 +157,20 @@ def classify_circle_preserving_maps(m: int) -> None:
 
     found: set[tuple[str, int]] = set()
     for triple in permutations(g, 3):
-        psi = mobius_fit(g[:3], triple)
+        psi = _fit(g[:3], triple)
         image = []
-        bijective = True
         for z in g:
-            idx = group.nearest_index(psi.apply(z))
+            idx = group.nearest_index(psi(z))
             if idx is None:
-                bijective = False
                 break
             image.append(idx)
-        if not bijective or len(set(image)) != m:
+        # a short image hit a point off G; a repeated index is not a bijection
+        if len(set(image)) != m:
+            continue
+        if any(abs(abs(psi(s)) - 1.0) > DEFAULT_TOL for s in samples):
             continue
 
-        on_circle = True
-        for s in samples:
-            w = psi.apply(s)
-            if _is_inf(w) or abs(abs(w) - 1.0) > DEFAULT_TOL:
-                on_circle = False
-                break
-        if not on_circle:
-            continue
-
-        j = image[0]
-        succ = group.nearest_index(psi.apply(g[1 % m]))
+        j, succ = image[0], image[1]
         if succ == (j + 1) % m:
             kind, shift = "rotation", j
             model = lambda z, w=g[j]: w * z
@@ -280,7 +181,7 @@ def classify_circle_preserving_maps(m: int) -> None:
             raise TheoremViolation(
                 f"survivor at m={m} matches no dihedral map: images {image}"
             )
-        if all(abs(psi.apply(z) - model(z)) <= DEFAULT_TOL for z in g):
+        if all(abs(psi(z) - model(z)) <= DEFAULT_TOL for z in g):
             found.add((kind, shift))
         else:
             raise TheoremViolation(

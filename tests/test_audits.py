@@ -234,6 +234,15 @@ class TestCensus:
         # order-2 subgroup {1,10} has four outside cosets
         assert by_order[2] == [2, 3, 4, 5]
 
+    def test_coset_representatives_are_the_least_of_each_coset(self):
+        for p in primes_in_range(3, 61):
+            for d in proper_orders(p):
+                # G from residues alone: the roots of x^d = 1
+                g = [y for y in range(1, p) if pow(y, d, p) == 1]
+                cosets = {frozenset(x * y % p for y in g) for x in range(1, p)}
+                got = audits._coset_representatives(subgroup_of_order(make_field(p), d))
+                assert got == sorted(min(c) for c in cosets), (p, d)
+
 
 class TestRatioAudit:
     def test_exceptions_only_at_tiny_orders(self):

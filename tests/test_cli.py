@@ -166,6 +166,9 @@ PINNED_STREAMS = {
         (0, "dc4c4f92adfde93ee0e54cca231401575b561594f4a7eaa0dd80c6421ec099a6", _EMPTY),
     ("unity", "audit", "--mmax-claim", "20", "--mmax-pairs", "10", "--mmax-maps", "4"):
         (0, "ac66c4bddbbc3f22b72cd97214a9720a0bf28ec256f1200f82a21c01d148c767", _EMPTY),
+    # classifies every order the census allows, m = 3..12
+    ("unity", "audit", "--mmax-claim", "20", "--mmax-pairs", "10", "--mmax-maps", "12"):
+        (0, "533b21860f9222c0cef527ae7c481739e0c6637d561a57ee9ad9123b5a9e1897", _EMPTY),
 }
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from shiftdecomp import (
     ElementSet,
-    MissingZeroError,
     NotPrimeError,
     SetOp,
     ZeroElementError,
@@ -255,9 +254,12 @@ class TestDifferenceRepresentations:
         report = find_difference_representations(ElementSet.from_elements(11, [0]))
         assert [w.a for w in report.witnesses] == [(0,)]
 
-    def test_rejects_target_without_zero(self):
-        with pytest.raises(MissingZeroError):
-            find_difference_representations(ElementSet.from_elements(11, [1, 10]))
+    def test_target_without_zero_takes_no_search(self):
+        # A - A always holds 0, so such a target has no witness and no clique search
+        report = find_difference_representations(ElementSet.from_elements(11, [1, 10]))
+        assert report.witnesses == ()
+        assert report.nodes == 0
+        assert report.exhaustive
 
     def test_no_witnesses_for_order_three_target(self, f13):
         g = subgroup_of_order(f13, 3)
@@ -426,8 +428,7 @@ class TestRepresentationOracle:
 
     @given(st.sampled_from(ORACLE_PRIMES), st.data())
     def test_random_difference_targets(self, p, data):
-        elems = data.draw(st.sets(st.integers(0, p - 1)))
-        target = ElementSet.from_elements(p, elems).with_element(0)
+        target = ElementSet.from_elements(p, data.draw(st.sets(st.integers(0, p - 1))))
         report = find_difference_representations(target)
         assert [w.a for w in report.witnesses] == \
             _oracle_representations(p, target, SetOp.DIFFERENCE)

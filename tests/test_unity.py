@@ -1,4 +1,4 @@
-"""Roots of unity, Möbius fitting, and circle-map classification."""
+"""Roots of unity, the three-point Möbius fit, and circle-map classification."""
 
 from __future__ import annotations
 
@@ -13,14 +13,10 @@ from hypothesis import strategies as st
 
 import shiftdecomp
 from shiftdecomp import (
-    INF,
-    DegenerateInputError,
-    MobiusMap,
     TheoremViolation,
     UnityGroup,
     check_xk_product_claim,
     classify_circle_preserving_maps,
-    mobius_fit,
     search_2x2_decomposition,
     unity,
 )
@@ -55,7 +51,6 @@ class TestUnityGroup:
     def test_nearest_index_rejects_off_circle(self):
         g = UnityGroup.of_order(9)
         assert g.nearest_index(1.1) is None
-        assert g.nearest_index(INF) is None
         assert g.nearest_index(g.elements[2] * (1 + 1e-5)) is None
 
     def test_nearest_index_tolerates_jitter(self):
@@ -63,47 +58,10 @@ class TestUnityGroup:
         assert g.nearest_index(g.elements[4] * (1 + 1e-11)) == 4
 
 
-class TestMobiusMap:
-    def test_apply_finite_and_infinite(self):
-        f = MobiusMap(1, 2, 3, 4)
-        assert f.determinant == -2
-        assert abs(f.apply(0) - 0.5) < 1e-12
-        assert abs(f.apply(INF) - 1 / 3) < 1e-12
-        assert f.apply(-4 / 3) is INF
-
-    def test_inverse_round_trip(self):
-        f = MobiusMap(2, 1j, -1, 3)
-        back = f.compose(f.inverse())
-        for z in (0.3, -2 + 1j, 5j):
-            assert abs(back.apply(z) - z) < 1e-9
-
-    def test_compose_order(self):
-        double = MobiusMap(2, 0, 0, 1)
-        shift = MobiusMap(1, 1, 0, 1)
-        assert abs(double.compose(shift).apply(1) - 4) < 1e-12  # 2 * (1 + 1)
-        assert abs(shift.compose(double).apply(1) - 3) < 1e-12  # (2 * 1) + 1
-
-
 class TestMobiusFit:
-    def test_identity_fit(self):
-        f = mobius_fit([0, 1, INF], [0, 1, INF])
-        for z in (0.25, -3, 17 + 2j):
-            assert abs(f.apply(z) - z) < 1e-9
-
     def test_rotation_fit(self):
-        f = mobius_fit([1, 1j, -1], [1j, -1, -1j])
-        assert abs(f.apply(-1j) - 1) < 1e-9
-
-    def test_infinity_in_targets(self):
-        f = mobius_fit([0, 1, 2], [0, 1, INF])
-        assert f.apply(2) is INF
-        assert abs(f.apply(0)) < 1e-12
-
-    def test_rejects_repeated_points(self):
-        with pytest.raises(DegenerateInputError):
-            mobius_fit([1, 1, 2], [0, 1, 2])
-        with pytest.raises(DegenerateInputError):
-            mobius_fit([0, 1, 2], [3, 3, 4])
+        f = unity._fit([1, 1j, -1], [1j, -1, -1j])
+        assert abs(f(-1j) - 1) < 1e-9
 
     @given(st.data())
     def test_fit_interpolates_random_triples(self, data):
@@ -116,9 +74,9 @@ class TestMobiusFit:
             return
         if min(abs(a - b) for a, b in [(w[0], w[1]), (w[0], w[2]), (w[1], w[2])]) < 1e-3:
             return
-        f = mobius_fit(z, w)
+        f = unity._fit(z, w)
         for zi, wi in zip(z, w):
-            assert abs(f.apply(zi) - wi) < 1e-6
+            assert abs(f(zi) - wi) < 1e-6
 
 
 class TestProductClaim:
@@ -172,12 +130,13 @@ class TestCirclePreservingMaps:
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_exactly_dihedral_survivors(self, monkeypatch, m):
         fits = []
+        fit = unity._fit
 
         def counting_fit(z_points, w_points):
             fits.append(w_points)
-            return mobius_fit(z_points, w_points)
+            return fit(z_points, w_points)
 
-        monkeypatch.setattr(unity, "mobius_fit", counting_fit)
+        monkeypatch.setattr(unity, "_fit", counting_fit)
         # returning at all means all 2m rotations and reflections survived
         assert classify_circle_preserving_maps(m) is None
         # one fit from (g_0, g_1, g_2) to each ordered triple of G

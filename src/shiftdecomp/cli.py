@@ -29,7 +29,8 @@ EXIT_VIOLATION = 2
 # the product claim at order m holds all m(m-1)/2 chord products in memory; a
 # full `unity audit` at this bound takes 13-15 s and 37 MB (2-core x86 host)
 MAX_CLAIM_ORDER = 300
-# about 0.16 ms per instance: `stepanov audit` at this bound takes 16 s and 19 MB
+# about 0.14 ms per instance: `stepanov audit` at this bound takes 12-15 s and 17 MB
+# (2-core x86 host)
 MAX_INSTANCES = 100_000
 # every order past 5 is empty by pigeonhole: `unity audit` at this bound takes 1.0 s
 MAX_PAIRS_ORDER = 1_000_000

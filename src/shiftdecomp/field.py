@@ -115,14 +115,16 @@ def make_field(p: int) -> FieldContext:
 
 @lru_cache(maxsize=256)
 def _subgroup_mask(p: int, d: int) -> int:
-    """Residue bitmask of the subgroup of order d of F_p^*; d divides p - 1."""
-    gen = pow(make_field(p).primitive_root, (p - 1) // d, p)
-    mask = 0
-    x = 1
-    for _ in range(d):
-        mask |= 1 << x
-        x = x * gen % p
-    return mask
+    """Residue bitmask of the subgroup of order d of F_p^*; d divides p - 1.
+
+    The subgroup is every ((p - 1) / d)-th power of the primitive root.  Its
+    bits are set in a byte buffer, which costs O(p) where `mask |= 1 << x`
+    would copy the p-bit integer once per element.
+    """
+    bits = bytearray(p // 8 + 1)
+    for x in make_field(p).power_table[:: (p - 1) // d]:
+        bits[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(bits, "little")
 
 
 class MultSubgroup:

@@ -105,14 +105,9 @@ class DensePoly:
         """Synthetic division by (x - b): returns (quotient, remainder)."""
         if self.is_zero():
             return DensePoly.zero(self.p), 0
-        d = len(self.coeffs) - 1
-        q = [0] * d
-        acc = 0
-        for k in range(d, 0, -1):
-            acc = (acc * b + self.coeffs[k]) % self.p
-            q[k - 1] = acc
-        rem = (acc * b + self.coeffs[0]) % self.p
-        return DensePoly(self.p, q), rem
+        coeffs = list(self.coeffs)
+        rem = _divide_in_place(coeffs, 0, b, self.p)
+        return DensePoly(self.p, coeffs[1:]), rem
 
     def __eq__(self, other) -> bool:
         return (
@@ -128,17 +123,30 @@ class DensePoly:
         return f"DensePoly(p={self.p}, coeffs={self.coeffs})"
 
 
+def _divide_in_place(coeffs: list[int], low: int, b: int, p: int) -> int:
+    """Synthetic division of sum_{k >= low} coeffs[k] x^(k - low) by (x - b).
+
+    The quotient overwrites coeffs[low + 1:], ascending from index low + 1;
+    the remainder is returned and coeffs[low] is left as it was.
+    """
+    acc = 0
+    for k in range(len(coeffs) - 1, low, -1):
+        acc = (acc * b + coeffs[k]) % p
+        coeffs[k] = acc
+    return (acc * b + coeffs[low]) % p
+
+
 def root_multiplicity(f: DensePoly, b: int) -> int:
-    """Largest k with (x - b)^k dividing f, by repeated synthetic division."""
+    """Largest k with (x - b)^k dividing f, by repeated synthetic division.
+
+    Each exact division leaves its quotient in the same list one index
+    higher.  Every quotient keeps the leading coefficient of f, so the loop
+    stops at the latest when the quotient is that nonzero constant.
+    """
     if f.is_zero():
         raise ZeroPolynomialError("multiplicity undefined for the zero polynomial")
+    coeffs = list(f.coeffs)
     count = 0
-    while True:
-        q, rem = f.divide_linear(b)
-        if rem != 0:
-            return count
+    while _divide_in_place(coeffs, count, b, f.p) == 0:
         count += 1
-        f = q
-        if f.is_zero():
-            # exact division of a nonzero polynomial never reaches zero
-            return count
+    return count

@@ -212,10 +212,10 @@ def audit_instance(
         raise ZeroParameterError("shift parameter must be nonzero")
 
     g = subgroup.elements
-    target = g.with_element(0)
+    target = g.mask | 1  # G union {0}
     for ai in a:
         for bj in b:
-            if (ai * bj + lam) % p not in target:
+            if not (target >> ((ai * bj + lam) % p)) & 1:
                 raise HypothesisViolatedError(
                     f"product {ai}*{bj}+{lam} escapes G union 0 at p={p}"
                 )
@@ -304,14 +304,15 @@ def check_hp_additive_bound(
     A, B and G must share one field; otherwise ModulusMismatchError is raised.
     """
     p = _subgroup_field(subgroup, a_set, b_set).p
-    target = subgroup.elements.with_element(0)
+    target = subgroup.elements.mask | 1  # G union {0}
+    b = b_set.elements()
     for ai in a_set:
-        for bj in b_set:
-            if (ai + bj) % p not in target:
+        for bj in b:
+            if not (target >> ((ai + bj) % p)) & 1:
                 raise HypothesisViolatedError(
                     f"sum {ai}+{bj} escapes G union 0 at p={p}"
                 )
-    overlap = sum(1 for bj in b_set if (p - bj) % p in a_set)
+    overlap = sum(1 for bj in b if (p - bj) % p in a_set)
     return len(a_set) * len(b_set) <= subgroup.order + overlap
 
 

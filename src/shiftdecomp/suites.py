@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .field import MultSubgroup, make_field, proper_orders, subgroup_of_order
 from .poly import DensePoly, root_multiplicity
-from .sets import ElementSet
+from .sets import ElementSet, mask_elements
 from .stepanov import (
     audit_instance,
     check_derivative_ratio,
@@ -62,10 +62,15 @@ HARMONIC_CASES = 200
 
 
 def _hypothesis_pool(subgroup: MultSubgroup, lam: int) -> list[int]:
-    """All products t != 0 with t + lam in G union {0}."""
+    """All products t != 0 with t + lam in G union {0}, ascending.
+
+    Bit s of the mask of G union {0} moves to bit s - lam mod p.
+    """
     p = subgroup.ctx.p
-    target = subgroup.elements.with_element(0)
-    return [t for t in range(1, p) if (t + lam) % p in target]
+    lam %= p
+    target = subgroup.elements.mask | 1
+    rotated = (target >> lam | target << (p - lam)) & ((1 << p) - 2)
+    return list(mask_elements(rotated))
 
 
 @dataclass(frozen=True)
@@ -106,7 +111,8 @@ def _sample_instance(rng: random.Random, mode: str):
         if mode == "tight-shifted" or (mode == "generic" and rng.random() < 0.5):
             lam = rng.choice(in_g.elements())
         else:
-            non_g = [x for x in range(1, p) if x not in in_g]
+            g_mask = in_g.mask
+            non_g = [x for x in range(1, p) if not (g_mask >> x) & 1]
             if not non_g:
                 continue
             lam = rng.choice(non_g)

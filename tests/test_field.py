@@ -18,6 +18,7 @@ from shiftdecomp import (
     make_field,
     subgroup_of_order,
 )
+from shiftdecomp.field import _subgroup_mask, proper_orders
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -129,6 +130,20 @@ class TestSubgroups:
             for a in elems:
                 for b in elems:
                     assert a * b % p in g.elements
+
+    def test_masks_match_residues(self):
+        # the subgroup of order d is the set of roots of x^d = 1
+        for p in filter(is_prime, range(3, 212)):
+            for d in proper_orders(p):
+                expected = sum(1 << x for x in range(1, p) if pow(x, d, p) == 1)
+                assert _subgroup_mask(p, d) == expected, (p, d)
+
+    def test_mask_of_the_squares_at_65537(self):
+        p = 65_537
+        # bit x is 1 exactly when x is a square (Euler's criterion), most significant first
+        bits = "".join("1" if pow(x, (p - 1) // 2, p) == 1 else "0"
+                       for x in range(p - 1, 0, -1))
+        assert _subgroup_mask(p, (p - 1) // 2) == int(bits + "0", 2)
 
     def test_enumerate_proper_orders(self, f13):
         orders = [g.order for g in enumerate_proper_subgroups(f13)]

@@ -6,9 +6,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shiftdecomp import DensePoly, root_multiplicity
+from shiftdecomp import DensePoly, ZeroPolynomialError, root_multiplicity
 
 PRIMES = (5, 7, 11, 13)
+
+
+def _reference_multiplicity(f: DensePoly, b: int) -> int:
+    """Multiplicity by repeated DensePoly.divide_linear until a remainder is nonzero."""
+    count = 0
+    while True:
+        f, rem = f.divide_linear(b)
+        if rem:
+            return count
+        count += 1
 
 
 def polys(p: int, max_degree: int = 6) -> st.SearchStrategy[DensePoly]:
@@ -157,3 +167,25 @@ class TestRootsAndDivision:
         b = data.draw(st.integers(min_value=0, max_value=p - 1))
         q, rem = f.divide_linear(b)
         assert q * DensePoly(p, [-b, 1]) + DensePoly(p, [rem]) == f
+
+    @given(st.sampled_from(PRIMES), st.data())
+    def test_root_multiplicity_matches_division_loop(self, p, data):
+        # few distinct roots, so 0 and repeated roots come up often
+        roots = data.draw(st.lists(st.integers(min_value=0, max_value=3), max_size=6))
+        cofactor = data.draw(polys(p, max_degree=3).filter(lambda h: not h.is_zero()))
+        f = DensePoly.from_roots(p, roots) * cofactor
+        for b in range(-p, 2 * p):
+            expected = _reference_multiplicity(f, b)
+            assert root_multiplicity(f, b) == expected
+            assert expected >= roots.count(b % p)
+
+    @given(st.sampled_from(PRIMES), st.data())
+    def test_nonzero_constant_has_no_roots(self, p, data):
+        c = data.draw(st.integers().filter(lambda c: c % p))
+        f = DensePoly.constant(p, c)
+        assert all(root_multiplicity(f, b) == 0 for b in range(-p, 2 * p))
+
+    def test_root_multiplicity_of_zero_polynomial_raises(self):
+        for b in (0, 1, 6):
+            with pytest.raises(ZeroPolynomialError):
+                root_multiplicity(DensePoly.zero(7), b)

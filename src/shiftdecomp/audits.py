@@ -7,13 +7,16 @@ subgroup's records in canonical order: one per shift lambda, per shifted coset
 (variant, xi, mu), or the single record of G itself.  Every target is one
 affine image of G, built by ``build_target``.  Workers are stateless,
 so records are deterministic for a fixed configuration regardless of worker
-count; unexpected witnesses raise one TheoremViolation carrying every record.
+count.  An audit streams its records task by task; once the last is out,
+unexpected witnesses raise one TheoremViolation carrying every offending record.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections.abc import Iterator
+from contextlib import ExitStack
 from enum import Enum
 from math import isqrt
 
@@ -245,22 +248,6 @@ def _violation(kind: AuditKind, record: dict) -> str | None:
     return None
 
 
-def _assert_expectations(kind: AuditKind, records: list[dict]) -> None:
-    """Check every theorem-level prediction over the merged records.
-
-    All violations are collected into one TheoremViolation: ``record`` is the
-    first violating record, ``violations`` all of them and ``records`` every
-    record checked.
-    """
-    found = [(msg, r) for r in records if (msg := _violation(kind, r)) is not None]
-    if found:
-        message, first = found[0]
-        if len(found) > 1:
-            message += f" (and {len(found) - 1} more violations)"
-        raise TheoremViolation(message, record=first,
-                               violations=[r for _, r in found], records=records)
-
-
 def audit_theorems(
     p_min: int,
     p_max: int,
@@ -269,27 +256,44 @@ def audit_theorems(
     orders: tuple[int, ...] | None = None,
     oracle: bool = False,
     workers: int = 1,
-) -> list[dict]:
-    """Run one audit over [p_min, p_max]; returns records in canonical order.
+) -> Iterator[dict]:
+    """Run one audit over [p_min, p_max]; yields records in canonical order.
 
-    Raises TheoremViolation (with the first offending record, every offending
-    record and all records attached) if any expected-nonexistence or shape
-    claim fails, and InternalMismatchError if the brute-force oracle disagrees
-    with the search.  The pool never has more workers than there are CPUs.
+    Records are yielded as each subgroup's task finishes and none is kept
+    after it is yielded, so a serial run holds one task's records at a time
+    (with a pool, also those of tasks finished ahead of it).  After the last
+    record, raises one TheoremViolation if any expected-nonexistence or shape
+    claim failed: ``record`` is the first offending record and ``violations``
+    all of them.
+    InternalMismatchError (the brute-force oracle disagrees with the search,
+    or a witness fails re-validation) propagates from the task that found it.
+    The pool never has more workers than there are CPUs.
     """
     tasks = _build_tasks(kind, p_min, p_max, orders, oracle)
     workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and len(tasks) > 1:
-        # imported here so that a serial run never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    found = []
+    with ExitStack() as stack:
+        if workers > 1 and len(tasks) > 1:
+            # imported here so that a serial run never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_task = list(pool.map(_execute_task, tasks))
-    else:
-        per_task = map(_execute_task, tasks)
-    records = [record for task_records in per_task for record in task_records]
-    _assert_expectations(kind, records)
-    return records
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            # a consumer that stops early waits only for the running tasks
+            stack.callback(pool.shutdown, cancel_futures=True)
+            per_task = pool.map(_execute_task, tasks)
+        else:
+            per_task = map(_execute_task, tasks)
+        for task_records in per_task:
+            for record in task_records:
+                message = _violation(kind, record)
+                if message is not None:
+                    found.append((message, record))
+                yield record
+    if found:
+        message, first = found[0]
+        if len(found) > 1:
+            message += f" (and {len(found) - 1} more violations)"
+        raise TheoremViolation(message, record=first, violations=[r for _, r in found])
 
 
 KNOWN_COUNTEREXAMPLES = (

@@ -4,7 +4,8 @@ Subcommands map one-to-one onto the audit and suite entry points; every task
 produces one JSON object per line with deterministic field order.  Exit codes:
 0 when all expectations hold, 1 for usage/configuration errors, 2 when a
 theorem-level expectation fails (every record is still printed, and each
-offending record is echoed on stderr).
+offending record is echoed on stderr).  Audit records are written as each
+subgroup's task finishes, in canonical order.
 """
 
 from __future__ import annotations
@@ -121,11 +122,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(records, handle) -> None:
-    """Write each record as one sorted-key JSON line as soon as it is serialized."""
+def _emit(records, handle) -> int:
+    """Write each record as one sorted-key JSON line as soon as it is serialized;
+    returns how many lines were written."""
     encode = json.JSONEncoder(sort_keys=True).encode
+    written = 0
     for record in records:
         handle.write(encode(record) + "\n")
+        written += 1
+    return written
 
 
 def _violation(exc: Exception) -> int:
@@ -159,17 +164,22 @@ def _usage_error(args) -> str | None:
 
 
 def _run_audit(args, kind: AuditKind, out) -> int:
-    violation = None
+    """Stream the audit's records to ``out`` as each task finishes.
+
+    A TheoremViolation arrives after the last record, so every record is out
+    before it is reported; any other error leaves the records of the tasks
+    before it on ``out``.
+    """
+    records = audit_theorems(args.pmin, args.pmax, kind, orders=args.orders,
+                             oracle=args.oracle == "on", workers=args.workers)
     try:
-        records = audit_theorems(args.pmin, args.pmax, kind, orders=args.orders,
-                                 oracle=args.oracle == "on", workers=args.workers)
+        written = _emit(records, out)
     except TheoremViolation as exc:
-        records, violation = exc.records, exc
-    if not records:
+        return _violation(exc)
+    if not written:
         print("error: no audit tasks for the selected primes and --orders", file=sys.stderr)
         return EXIT_USAGE
-    _emit(records, out)
-    return EXIT_OK if violation is None else _violation(violation)
+    return EXIT_OK
 
 
 def _run_reproduce(out) -> int:

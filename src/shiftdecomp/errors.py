@@ -82,14 +82,12 @@ class NonInvertibleIndexError(ShiftDecompError):
 class TheoremViolation(ShiftDecompError):
     """An audited prediction failed; carries the offending report record.
 
-    ``violations`` lists every offending record (``record`` is the first) and
-    ``records`` every record of the audit that raised, violating or not.
+    ``violations`` lists every offending record; ``record`` is the first.
     """
 
-    def __init__(self, message, record=None, *, violations=None, records=None):
+    def __init__(self, message, record=None, *, violations=None):
         super().__init__(message)
         self.record = record
         if violations is None:
             violations = [] if record is None else [record]
         self.violations = violations
-        self.records = [] if records is None else records

@@ -52,6 +52,8 @@ __all__ = [
 
 SUITE_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
                 73, 79, 83, 89, 97, 101)
+# the proper subgroup orders of each suite prime, which every sampler draw reads
+_SUITE_ORDERS = {p: proper_orders(p) for p in SUITE_PRIMES}
 
 # sample counts that no command sets; the CLI record reports them as the *_checked fields
 ADDITIVE_SAMPLES = 200
@@ -105,7 +107,7 @@ def _sample_instance(rng: random.Random, mode: str):
     while True:
         p = rng.choice(SUITE_PRIMES)
         ctx = make_field(p)
-        d = rng.choice(proper_orders(p))
+        d = rng.choice(_SUITE_ORDERS[p])
         subgroup = subgroup_of_order(ctx, d)
         in_g = subgroup.elements
         if mode == "tight-shifted" or (mode == "generic" and rng.random() < 0.5):
@@ -154,7 +156,7 @@ def _sample_additive(rng: random.Random):
     while True:
         p = rng.choice([q for q in SUITE_PRIMES if q <= 61])
         ctx = make_field(p)
-        d = rng.choice(proper_orders(p))
+        d = rng.choice(_SUITE_ORDERS[p])
         subgroup = subgroup_of_order(ctx, d)
         target = set(subgroup.elements.elements()) | {0}
         b = rng.sample(range(p), rng.randint(1, 3))

@@ -57,7 +57,7 @@ def test_criterion_1_counterexample_reproduction():
 def test_criterion_2_product_audit():
     budget = 300.0
     start = time.perf_counter()
-    records = audit_theorems(3, 61, AuditKind.SARKOZY_PRODUCT, oracle=True)
+    records = list(audit_theorems(3, 61, AuditKind.SARKOZY_PRODUCT, oracle=True))
     elapsed = time.perf_counter() - start
 
     clean = all(r["witnesses"] == [] and r["exhaustive"] for r in records)
@@ -73,7 +73,7 @@ def test_criterion_2_product_audit():
 def test_criterion_3_ratio_audit():
     budget = 300.0
     start = time.perf_counter()
-    records = audit_theorems(3, 31, AuditKind.SHIFTED_RATIO)
+    records = list(audit_theorems(3, 31, AuditKind.SHIFTED_RATIO))
     elapsed = time.perf_counter() - start
 
     big_clean = all(
@@ -99,7 +99,7 @@ def test_criterion_3_ratio_audit():
 def test_criterion_4_difference_audit():
     budget = 120.0
     start = time.perf_counter()
-    records = audit_theorems(3, 61, AuditKind.LEV_SONN_DIFFERENCE)
+    records = list(audit_theorems(3, 61, AuditKind.LEV_SONN_DIFFERENCE))
     elapsed = time.perf_counter() - start
 
     outside_clean = all(
@@ -123,7 +123,7 @@ def test_criterion_4_difference_audit():
 def test_criterion_5_sum_audit():
     budget = 180.0
     start = time.perf_counter()
-    records = audit_theorems(3, 61, AuditKind.KALMYNIN_SUM, oracle=True)
+    records = list(audit_theorems(3, 61, AuditKind.KALMYNIN_SUM, oracle=True))
     elapsed = time.perf_counter() - start
 
     shapes_ok = True
@@ -164,10 +164,10 @@ def test_criterion_6_clique_bound():
     start = time.perf_counter()
     paley17 = max_difference_clique(subgroup_of_order(make_field(17), 8))
     with pytest.raises(TheoremViolation) as refutation:
-        audit_theorems(17, 101, AuditKind.PALEY_CLIQUE)
+        list(audit_theorems(17, 101, AuditKind.PALEY_CLIQUE))
     violation = refutation.value.record
-    below = audit_theorems(17, 40, AuditKind.PALEY_CLIQUE)
-    above = audit_theorems(42, 101, AuditKind.PALEY_CLIQUE)
+    below = list(audit_theorems(17, 40, AuditKind.PALEY_CLIQUE))
+    above = list(audit_theorems(42, 101, AuditKind.PALEY_CLIQUE))
     elapsed = time.perf_counter() - start
     records = below + [violation] + above
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
 
@@ -55,7 +56,7 @@ class TestPrimesInRange:
 
 class TestRecordContract:
     def test_field_names_and_order(self):
-        recs = audit_theorems(3, 13, AuditKind.SARKOZY_PRODUCT)
+        recs = list(audit_theorems(3, 13, AuditKind.SARKOZY_PRODUCT))
         assert recs
         for r in recs:
             assert set(r) == RECORD_KEYS
@@ -65,7 +66,7 @@ class TestRecordContract:
             assert r["nodes"] >= 0
 
     def test_elapsed_ms_is_float_milliseconds(self):
-        recs = audit_theorems(3, 13, AuditKind.SARKOZY_PRODUCT)
+        recs = list(audit_theorems(3, 13, AuditKind.SARKOZY_PRODUCT))
         for r in recs:
             assert isinstance(r["elapsed_ms"], float)
             assert r["elapsed_ms"] >= 0 and round(r["elapsed_ms"], 3) == r["elapsed_ms"]
@@ -77,7 +78,7 @@ class TestRecordContract:
             return dataclasses.replace(real(target, kind), exhaustive=False)
 
         monkeypatch.setattr(audits, "find_exact_factorizations", stopped_early)
-        recs = audit_theorems(7, 7, AuditKind.SARKOZY_PRODUCT)
+        recs = list(audit_theorems(7, 7, AuditKind.SARKOZY_PRODUCT))
         # |G| = 1 has the empty target (G - 1) \ {0}, which is never searched
         assert {(r["subgroup_order"], r["exhaustive"]) for r in recs} == {
             (1, True), (2, False), (3, False)}
@@ -91,7 +92,7 @@ class TestRecordContract:
             return real(target, kind)
 
         monkeypatch.setattr(audits, "find_exact_factorizations", counted)
-        recs = audit_theorems(3, 31, AuditKind.SARKOZY_PRODUCT)
+        recs = list(audit_theorems(3, 31, AuditKind.SARKOZY_PRODUCT))
         # |G| = 1 has the empty target (G - 1) \ {0}, which is never searched
         assert searched == [
             (p, build_target(subgroup_of_order(make_field(p), d), 1, -1, with_zero=False))
@@ -101,21 +102,21 @@ class TestRecordContract:
         assert len(recs) > 3 * len(searched)
 
     def test_canonical_task_ordering(self):
-        recs = audit_theorems(3, 13, AuditKind.SARKOZY_PRODUCT)
+        recs = list(audit_theorems(3, 13, AuditKind.SARKOZY_PRODUCT))
         keys = [(r["p"], r["subgroup_order"], sorted(r["params"].items())) for r in recs]
         assert keys == sorted(keys)
 
     def test_orders_filter(self):
-        recs = audit_theorems(3, 31, AuditKind.SARKOZY_PRODUCT, orders=(2,))
+        recs = list(audit_theorems(3, 31, AuditKind.SARKOZY_PRODUCT, orders=(2,)))
         assert recs
         assert {r["subgroup_order"] for r in recs} == {2}
 
     def test_empty_prime_range(self):
-        assert audit_theorems(4, 4, AuditKind.SARKOZY_PRODUCT) == []
+        assert list(audit_theorems(4, 4, AuditKind.SARKOZY_PRODUCT)) == []
 
     def test_worker_count_does_not_change_results(self):
-        serial = audit_theorems(3, 23, AuditKind.SARKOZY_PRODUCT)
-        parallel = audit_theorems(3, 23, AuditKind.SARKOZY_PRODUCT, workers=2)
+        serial = list(audit_theorems(3, 23, AuditKind.SARKOZY_PRODUCT))
+        parallel = list(audit_theorems(3, 23, AuditKind.SARKOZY_PRODUCT, workers=2))
         assert strip_timing(serial) == strip_timing(parallel)
 
     def test_worker_count_is_capped_at_cpu_count(self, monkeypatch):
@@ -136,15 +137,18 @@ class TestRecordContract:
             def map(self, fn, iterable, chunksize=1):
                 return map(fn, iterable)
 
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pass
+
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(audits.os, "cpu_count", lambda: 3)
-        capped = audit_theorems(3, 13, AuditKind.SARKOZY_PRODUCT, workers=10_000)
+        capped = list(audit_theorems(3, 13, AuditKind.SARKOZY_PRODUCT, workers=10_000))
         assert created == [3]
-        serial = audit_theorems(3, 13, AuditKind.SARKOZY_PRODUCT)
+        serial = list(audit_theorems(3, 13, AuditKind.SARKOZY_PRODUCT))
         assert strip_timing(capped) == strip_timing(serial)
         # an unknown CPU count means one worker, so no pool at all
         monkeypatch.setattr(audits.os, "cpu_count", lambda: None)
-        audit_theorems(3, 13, AuditKind.SARKOZY_PRODUCT, workers=10_000)
+        list(audit_theorems(3, 13, AuditKind.SARKOZY_PRODUCT, workers=10_000))
         assert created == [3]
 
 
@@ -172,7 +176,7 @@ class TestTasks:
         monkeypatch.setattr(audits, "subgroup_of_order", counted_subgroup)
         tasks = audits._build_tasks(AuditKind.SHIFTED_RATIO, 3, 31, None, False)
         assert fields == subgroups == []
-        recs = audit_theorems(3, 31, AuditKind.SHIFTED_RATIO)
+        recs = list(audit_theorems(3, 31, AuditKind.SHIFTED_RATIO))
         assert subgroups == [(p, d) for _, p, d, _ in tasks]
         assert fields == [p for _, p, _, _ in tasks]
         assert len(recs) > 10 * len(tasks)
@@ -180,11 +184,11 @@ class TestTasks:
 
 class TestProductAudit:
     def test_no_witnesses_with_oracle(self):
-        recs = audit_theorems(3, 23, AuditKind.SARKOZY_PRODUCT, oracle=True)
+        recs = list(audit_theorems(3, 23, AuditKind.SARKOZY_PRODUCT, oracle=True))
         assert all(r["witnesses"] == [] for r in recs)
 
     def test_lambda_ranges_over_subgroup(self):
-        recs = audit_theorems(11, 11, AuditKind.SARKOZY_PRODUCT)
+        recs = list(audit_theorems(11, 11, AuditKind.SARKOZY_PRODUCT))
         by_order = {}
         for r in recs:
             by_order.setdefault(r["subgroup_order"], set()).add(r["params"]["lambda"])
@@ -193,7 +197,7 @@ class TestProductAudit:
 
     def test_derived_records_match_direct_searches(self):
         # beyond the oracle range, search every lambda in G directly
-        recs = audit_theorems(29, 41, AuditKind.SARKOZY_PRODUCT)
+        recs = list(audit_theorems(29, 41, AuditKind.SARKOZY_PRODUCT))
         base_nodes = {(r["p"], r["subgroup_order"]): r["nodes"]
                       for r in recs if r["params"]["lambda"] == 1}
         for r in recs:
@@ -213,7 +217,7 @@ class TestProductAudit:
 
 class TestCensus:
     def test_exactly_the_known_witnesses(self):
-        recs = audit_theorems(3, 19, AuditKind.LAMBDA_CENSUS)
+        recs = list(audit_theorems(3, 19, AuditKind.LAMBDA_CENSUS))
         found = [
             (r["p"], r["subgroup_order"], w["A"], w["B"])
             for r in recs
@@ -225,7 +229,7 @@ class TestCensus:
         ]
 
     def test_one_representative_per_nontrivial_coset(self):
-        recs = audit_theorems(11, 11, AuditKind.LAMBDA_CENSUS)
+        recs = list(audit_theorems(11, 11, AuditKind.LAMBDA_CENSUS))
         by_order = {}
         for r in recs:
             by_order.setdefault(r["subgroup_order"], []).append(r["params"]["lambda"])
@@ -246,7 +250,7 @@ class TestCensus:
 
 class TestRatioAudit:
     def test_exceptions_only_at_tiny_orders(self):
-        recs = audit_theorems(3, 13, AuditKind.SHIFTED_RATIO)
+        recs = list(audit_theorems(3, 13, AuditKind.SHIFTED_RATIO))
         assert all(
             r["witnesses"] == [] for r in recs if r["subgroup_order"] >= 3
         )
@@ -254,7 +258,7 @@ class TestRatioAudit:
         assert hit_orders == {1, 2}
 
     def test_known_order_two_exceptions_mod_7(self):
-        recs = audit_theorems(7, 7, AuditKind.SHIFTED_RATIO)
+        recs = list(audit_theorems(7, 7, AuditKind.SHIFTED_RATIO))
         hits = {
             (
                 r["params"]["variant"],
@@ -269,19 +273,19 @@ class TestRatioAudit:
         assert ("xi-shift-with-zero", 2, 3, ((1, 3), (1, 5))) in hits
 
     def test_both_variants_always_audited(self):
-        recs = audit_theorems(7, 7, AuditKind.SHIFTED_RATIO)
+        recs = list(audit_theorems(7, 7, AuditKind.SHIFTED_RATIO))
         variants = {r["params"]["variant"] for r in recs}
         assert variants == {"xi-shift", "xi-shift-with-zero"}
 
 
 class TestDifferenceAudit:
     def test_witnesses_only_at_orders_two_and_six(self):
-        recs = audit_theorems(3, 31, AuditKind.LEV_SONN_DIFFERENCE)
+        recs = list(audit_theorems(3, 31, AuditKind.LEV_SONN_DIFFERENCE))
         hit_orders = {r["subgroup_order"] for r in recs if r["witnesses"]}
         assert hit_orders == {2, 6}
 
     def test_order_two_always_finds_zero_one(self):
-        recs = audit_theorems(3, 31, AuditKind.LEV_SONN_DIFFERENCE)
+        recs = list(audit_theorems(3, 31, AuditKind.LEV_SONN_DIFFERENCE))
         for r in recs:
             if r["subgroup_order"] == 2:
                 assert {"A": [0, 1]} in r["witnesses"]
@@ -289,7 +293,7 @@ class TestDifferenceAudit:
 
 class TestSumAudit:
     def test_witness_shapes_are_square_roots(self):
-        recs = audit_theorems(3, 31, AuditKind.KALMYNIN_SUM)
+        recs = list(audit_theorems(3, 31, AuditKind.KALMYNIN_SUM))
         hit = 0
         for r in recs:
             root = math.isqrt(r["subgroup_order"])
@@ -300,30 +304,30 @@ class TestSumAudit:
         assert hit > 0
 
     def test_full_residue_subgroup_never_decomposes(self):
-        recs = audit_theorems(3, 31, AuditKind.KALMYNIN_SUM)
+        recs = list(audit_theorems(3, 31, AuditKind.KALMYNIN_SUM))
         for r in recs:
             if r["subgroup_order"] == (r["p"] - 1) // 2:
                 assert r["witnesses"] == []
 
     def test_order_four_mod_13_count(self):
-        recs = audit_theorems(13, 13, AuditKind.KALMYNIN_SUM)
+        recs = list(audit_theorems(13, 13, AuditKind.KALMYNIN_SUM))
         by_order = {r["subgroup_order"]: r["witnesses"] for r in recs}
         assert len(by_order[4]) == 13
 
 
 class TestCliqueAudit:
     def test_clean_below_41(self):
-        recs = audit_theorems(17, 37, AuditKind.PALEY_CLIQUE)
+        recs = list(audit_theorems(17, 37, AuditKind.PALEY_CLIQUE))
         cliques = {r["p"]: r["params"]["clique"] for r in recs}
         assert cliques == {17: 3, 29: 4, 37: 4}
 
     def test_skips_primes_not_one_mod_four(self):
-        recs = audit_theorems(17, 37, AuditKind.PALEY_CLIQUE)
+        recs = list(audit_theorems(17, 37, AuditKind.PALEY_CLIQUE))
         assert {r["p"] for r in recs} == {17, 29, 37}
 
     def test_bound_violation_at_41(self):
         with pytest.raises(TheoremViolation) as exc_info:
-            audit_theorems(41, 41, AuditKind.PALEY_CLIQUE)
+            list(audit_theorems(41, 41, AuditKind.PALEY_CLIQUE))
         record = exc_info.value.record
         assert record["p"] == 41
         assert record["params"]["clique"] == 5
@@ -351,7 +355,7 @@ class TestSearchWork:
         ],
     )
     def test_summed_nodes(self, kind, nodes):
-        recs = audit_theorems(3, 23, kind)
+        recs = list(audit_theorems(3, 23, kind))
         assert sum(r["nodes"] for r in recs) == nodes
 
 
@@ -362,20 +366,66 @@ class TestViolationReport:
                 "params": {"clique": clique}, "witnesses": [], "exhaustive": True,
                 "nodes": 0, "elapsed_ms": 0}
 
-    def test_every_violation_is_reported(self):
+    def clique_audit(self, monkeypatch, cliques):
+        """The clique audit of the primes in ``cliques``, each task's one record
+        carrying the given clique number."""
+        monkeypatch.setattr(audits, "_execute_task",
+                            lambda task: [self.clique_record(task[1], cliques[task[1]])])
+        return audit_theorems(min(cliques), max(cliques), AuditKind.PALEY_CLIQUE,
+                              orders=tuple((p - 1) // 2 for p in cliques))
+
+    def test_every_violation_is_reported(self, monkeypatch):
         # 2k(k-1) <= p - 3 fails for (13, 3) and (41, 5) and holds for (37, 4)
-        records = [self.clique_record(13, 3), self.clique_record(37, 4),
-                   self.clique_record(41, 5)]
+        records = []
         with pytest.raises(TheoremViolation) as exc_info:
-            audits._assert_expectations(AuditKind.PALEY_CLIQUE, records)
+            records.extend(self.clique_audit(monkeypatch, {13: 3, 37: 4, 41: 5}))
         exc = exc_info.value
+        # the violation is raised only after every record has been yielded
+        assert records == [self.clique_record(13, 3), self.clique_record(37, 4),
+                           self.clique_record(41, 5)]
         assert exc.record is records[0]
         assert exc.violations == [records[0], records[2]]
-        assert exc.records == records
         assert "p=13" in str(exc) and "1 more" in str(exc)
 
-    def test_clean_records_raise_nothing(self):
-        audits._assert_expectations(AuditKind.PALEY_CLIQUE, [self.clique_record(37, 4)])
+    def test_clean_records_raise_nothing(self, monkeypatch):
+        assert list(self.clique_audit(monkeypatch, {37: 4})) == [self.clique_record(37, 4)]
+
+
+class TestStreaming:
+    def test_first_record_arrives_after_one_task(self, monkeypatch):
+        ran = []
+        real = audits._execute_task
+
+        def counted(task):
+            ran.append(task)
+            return real(task)
+
+        monkeypatch.setattr(audits, "_execute_task", counted)
+        records = audit_theorems(3, 13, AuditKind.SARKOZY_PRODUCT)
+        assert ran == []
+        assert next(records)["p"] == 3
+        assert len(ran) == 1
+        rest = list(records)
+        assert ran == audits._build_tasks(AuditKind.SARKOZY_PRODUCT, 3, 13, None, False)
+        assert len(rest) > len(ran)
+
+    def test_records_are_not_kept(self):
+        def peak_bytes(consume):
+            tracemalloc.start()
+            try:
+                consume(audit_theorems(3, 31, AuditKind.SHIFTED_RATIO))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def one_at_a_time(records):
+            for _ in records:
+                pass
+
+        # streamed first, so that it also pays for filling the field caches
+        streamed = peak_bytes(one_at_a_time)
+        kept = peak_bytes(list)
+        assert 3 * streamed < kept, (streamed, kept)
 
 
 class TestReproduce:

@@ -11,7 +11,8 @@ import re
 
 import pytest
 
-from shiftdecomp import cli
+from shiftdecomp import audits, cli
+from shiftdecomp.errors import InternalMismatchError
 from shiftdecomp.suites import IdentitySuiteResult, StepanovSuiteResult, UnitySuiteResult
 from shiftdecomp.unity import DecompositionWitness
 
@@ -201,6 +202,25 @@ class TestRecordStream:
         _, first, _ = run_cli("verify", "sarkozy", "--pmax", "23")
         _, second, _ = run_cli("verify", "sarkozy", "--pmax", "23", "--workers", "2")
         assert normalized(first) == normalized(second)
+
+    def test_internal_error_leaves_the_earlier_tasks_on_stdout(self, monkeypatch):
+        real = audits._execute_task
+        ran = []
+
+        def second_task_fails(task):
+            ran.append(task)
+            if len(ran) == 2:
+                raise InternalMismatchError("search/oracle mismatch")
+            return real(task)
+
+        monkeypatch.setattr(audits, "_execute_task", second_task_fails)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(InternalMismatchError):
+            cli.main(["verify", "sarkozy", "--pmin", "11", "--pmax", "11", "--orders", "2,5"])
+        assert [task[2] for task in ran] == [2, 5]
+        assert mask_timing(out.getvalue()) == mask_timing(
+            "".join(json.dumps(r, sort_keys=True) + "\n" for r in real(ran[0])))
+        assert len(parse_lines(out.getvalue())) == 2
 
     def test_orders_filter(self):
         code, out, _ = run_cli("verify", "sarkozy", "--pmax", "31", "--orders", "2,5")

@@ -120,7 +120,10 @@ def build_target(subgroup: MultSubgroup, scale: int, shift: int,
 def _targets(kind: AuditKind, subgroup: MultSubgroup):
     """Yield (record params, target) for each record of one subgroup, in canonical order.
 
-    The Paley clique record has no target; its params carry the clique number.
+    A record with no target is answered without a search: the Paley clique
+    record, whose params carry the clique number, and every ratio target that
+    misses 1, which no A/A can be since 1 is in A/A.  A ratio target holds 1
+    exactly when mu = 1 - xi*g for some g in G, or mu = 1 with zero.
     """
     if kind in (AuditKind.SARKOZY_PRODUCT, AuditKind.LAMBDA_CENSUS):
         shifts = subgroup.elements if kind is AuditKind.SARKOZY_PRODUCT else [
@@ -129,12 +132,18 @@ def _targets(kind: AuditKind, subgroup: MultSubgroup):
         for lam in shifts:
             yield {"lambda": lam}, build_target(subgroup, 1, -lam, with_zero=False)
     elif kind is AuditKind.SHIFTED_RATIO:
+        p = subgroup.ctx.p
+        elements = subgroup.elements.elements()
         reps = _coset_representatives(subgroup)
         for variant, with_zero in (("xi-shift", False), ("xi-shift-with-zero", True)):
             for xi in reps:
-                for mu in range(1, subgroup.ctx.p):
+                holds_one = {(1 - xi * g) % p for g in elements}
+                if with_zero:
+                    holds_one.add(1)
+                for mu in range(1, p):
                     yield ({"variant": variant, "xi": xi, "mu": mu},
-                           build_target(subgroup, xi, mu, with_zero=with_zero))
+                           build_target(subgroup, xi, mu, with_zero=with_zero)
+                           if mu in holds_one else None)
     elif kind is AuditKind.LEV_SONN_DIFFERENCE:
         yield {}, build_target(subgroup, 1, 0, with_zero=True)
     elif kind is AuditKind.KALMYNIN_SUM:
@@ -185,8 +194,10 @@ def _search(target: ElementSet, kind: SetOp):
 def _execute_task(task: tuple) -> list[dict]:
     """Run the audit of one subgroup; must stay top-level so worker processes can load it.
 
-    Each record times its own target build, search and checks.  The oracle
-    cross-checks products and sums for p <= ORACLE_MAX.  The Sarkozy audit
+    Each record times its own target build, search and checks; a record that
+    ``_targets`` answers with no target (witnesses [], exhaustive, nodes 0)
+    times only the record itself.  The oracle cross-checks products and sums
+    for p <= ORACLE_MAX.  The Sarkozy audit
     searches only lambda = 1, the first target of G, and derives every other
     lambda in G from it with nodes 0; each record still re-validates its
     witnesses against its own target, and the oracle enumerates each one.

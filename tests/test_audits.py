@@ -277,6 +277,30 @@ class TestRatioAudit:
         variants = {r["params"]["variant"] for r in recs}
         assert variants == {"xi-shift", "xi-shift-with-zero"}
 
+    def test_only_targets_holding_one_are_built(self):
+        # 1 is in every A/A, so a target that misses 1 needs no build or search
+        for p in primes_in_range(3, 61):
+            for d in proper_orders(p):
+                subgroup = subgroup_of_order(make_field(p), d)
+                for params, target in audits._targets(AuditKind.SHIFTED_RATIO, subgroup):
+                    built = build_target(subgroup, params["xi"], params["mu"],
+                                         with_zero=params["variant"] == "xi-shift-with-zero")
+                    assert (target is None) == (1 not in built), (p, d, params)
+                    assert target is None or target == built
+
+    def test_targets_missing_one_cost_no_build(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build_target(*args, **kwargs)
+
+        monkeypatch.setattr(audits, "build_target", counted)
+        recs = list(audit_theorems(3, 31, AuditKind.SHIFTED_RATIO))
+        assert len(calls) == 1592
+        assert len(recs) == 12384
+        assert sum(r["nodes"] for r in recs) == 410
+
 
 class TestDifferenceAudit:
     def test_witnesses_only_at_orders_two_and_six(self):

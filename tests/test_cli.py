@@ -147,6 +147,8 @@ PINNED_STREAMS = {
         (0, "a12925de717078ee380b94e052581e6f198015a34c8148d7a42acae4910c28db", _EMPTY),
     ("verify", "ratio", "--pmax", "13"):
         (0, "a3b57ca16f9d815fa7d9aca4de880bcb90cc0ba92c385ee7cd923cd134b7a317", _EMPTY),
+    ("verify", "ratio"):
+        (0, "d47203a6028476da5d7cb8f8a5a3ab94fb6f6c0e58b7f6972832399b26f02e2c", _EMPTY),
     ("verify", "clique"):
         (2, "6629abe7818a9ed8d8ad909ec90f6cb92e3b872876c2784f857d892865043a91",
          "069d008226a02a4a42fb4b1ab2db026ed86432bae9ec1d8b0cc5d11210ebb6f6"),
@@ -202,6 +204,12 @@ class TestRecordStream:
         _, first, _ = run_cli("verify", "sarkozy", "--pmax", "23")
         _, second, _ = run_cli("verify", "sarkozy", "--pmax", "23", "--workers", "2")
         assert normalized(first) == normalized(second)
+
+    def test_ratio_stream_does_not_depend_on_worker_count(self):
+        code, first, _ = run_cli("verify", "ratio", "--pmax", "31", "--workers", "1")
+        assert code == 0
+        _, second, _ = run_cli("verify", "ratio", "--pmax", "31", "--workers", "2")
+        assert mask_timing(first) == mask_timing(second)
 
     def test_internal_error_leaves_the_earlier_tasks_on_stdout(self, monkeypatch):
         real = audits._execute_task

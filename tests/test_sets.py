@@ -258,7 +258,12 @@ def test_audit_targets_match_their_catalogue_definitions(kind):
             residues = {x for x in range(1, p) if pow(x, g.order, p) == 1}
             records = list(_targets(kind, g))
             for params, target in records:
-                assert set(target) == _catalogue_target(kind, p, residues, params)
+                expected = _catalogue_target(kind, p, residues, params)
+                if target is None and kind is AuditKind.SHIFTED_RATIO:
+                    # answered without a build: no A/A misses 1
+                    assert 1 not in expected
+                else:
+                    assert set(target) == expected
             if kind is AuditKind.SARKOZY_PRODUCT:
                 assert [params["lambda"] for params, _ in records] == sorted(residues)
             if kind is AuditKind.SHIFTED_RATIO:

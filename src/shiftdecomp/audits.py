@@ -250,7 +250,7 @@ def _violation(kind: AuditKind, record: dict) -> str | None:
             if root * root != order or len(witness["A"]) != root or len(witness["B"]) != root:
                 return f"sum factorization with non-square shape at p={p}, |G|={order}: {witness}"
         if order == (p - 1) // 2 and witnesses:
-            return f"unexpected sum factorization of the squares at p={p}"
+            return f"unexpected sum factorization of the squares at p={p}, |G|={order}"
     if kind is AuditKind.PALEY_CLIQUE:
         clique = record["params"]["clique"]
         if 2 * clique * (clique - 1) > p - 3:

@@ -28,7 +28,7 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
 # the product claim at order m holds all m(m-1)/2 chord products in memory; a
-# full `unity audit` at this bound takes 13-15 s and 37 MB (2-core x86 host)
+# full `unity audit` at this bound takes 6-9 s and 25 MB (2-core x86 host)
 MAX_CLAIM_ORDER = 300
 # about 0.14 ms per instance: `stepanov audit` at this bound takes 12-15 s and 17 MB
 # (2-core x86 host)

@@ -417,9 +417,11 @@ def _difference_representations(n: int, tmask: int) -> tuple[list[tuple[int, ...
     differs from -T has no witness and is answered with no clique search
     (0 nodes).
     """
+    if not tmask & 1:
+        return [], 0
     full = (1 << n) - 1
     verts, adj = _difference_graph(n, tmask)
-    if len(verts) != tmask.bit_count() or not tmask & 1:
+    if len(verts) != tmask.bit_count():
         return [], 0
     cliques, nodes = _maximal_cliques(verts, adj)
     witnesses = []
@@ -438,11 +440,9 @@ def find_ratio_representations(target: ElementSet) -> SearchReport:
     ctx = make_field(target.p)
     if 0 in target:
         raise ZeroInTargetError("ratio representation target must avoid 0")
-    witnesses: list[tuple[int, ...]] = []
-    nodes = 0
-    if 1 in target:
-        logs, nodes = _difference_representations(ctx.p - 1, _log_mask(ctx, target))
-        witnesses = sorted(tuple(sorted(ctx.power_table[e] for e in w)) for w in logs)
+    # dlog(1) = 0, so a target without 1 has a log mask without 0: no witness, 0 nodes
+    logs, nodes = _difference_representations(ctx.p - 1, _log_mask(ctx, target))
+    witnesses = sorted(tuple(sorted(ctx.power_table[e] for e in w)) for w in logs)
     return _report(ctx.p, SetOp.RATIO, [(w,) for w in witnesses], nodes)
 
 

@@ -414,6 +414,42 @@ class TestViolationReport:
     def test_clean_records_raise_nothing(self, monkeypatch):
         assert list(self.clique_audit(monkeypatch, {37: 4})) == [self.clique_record(37, 4)]
 
+    @pytest.mark.parametrize(
+        "kind,p,order,shape,violated",
+        [
+            pytest.param(AuditKind.SARKOZY_PRODUCT, 13, 3, (1, 3), True, id="sarkozy-any"),
+            pytest.param(AuditKind.SHIFTED_RATIO, 13, 3, (2,), True, id="ratio-order-3"),
+            pytest.param(AuditKind.SHIFTED_RATIO, 13, 2, (2,), False, id="ratio-order-2"),
+            pytest.param(AuditKind.LEV_SONN_DIFFERENCE, 13, 4, (2,), True,
+                         id="levsonn-order-4"),
+            pytest.param(AuditKind.LEV_SONN_DIFFERENCE, 13, 2, (2,), False,
+                         id="levsonn-order-2"),
+            pytest.param(AuditKind.LEV_SONN_DIFFERENCE, 13, 6, (3,), False,
+                         id="levsonn-order-6"),
+            pytest.param(AuditKind.KALMYNIN_SUM, 13, 4, (1, 4), True,
+                         id="kalmynin-non-square-shape"),
+            pytest.param(AuditKind.KALMYNIN_SUM, 13, 3, (1, 3), True,
+                         id="kalmynin-non-square-order"),
+            pytest.param(AuditKind.KALMYNIN_SUM, 19, 9, (3, 3), True,
+                         id="kalmynin-squares"),
+            pytest.param(AuditKind.KALMYNIN_SUM, 13, 4, (2, 2), False,
+                         id="kalmynin-square-shape"),
+            pytest.param(AuditKind.LAMBDA_CENSUS, 13, 3, (1, 3), False, id="census"),
+        ],
+    )
+    def test_violation_rule(self, kind, p, order, shape, violated):
+        """Each audit's rule on one hand-built record holding one witness whose
+        sets have the sizes in ``shape`` (A alone for the one-set searches)."""
+        witness = {name: list(range(1, size + 1)) for name, size in zip("AB", shape)}
+        record = {"task": kind.value, "p": p, "subgroup_order": order,
+                  "params": {"lambda": 2}, "witnesses": [witness], "exhaustive": True,
+                  "nodes": 1, "elapsed_ms": 0}
+        message = audits._violation(kind, record)
+        if violated:
+            assert f"p={p}," in message and f"|G|={order}" in message
+        else:
+            assert message is None
+
 
 class TestStreaming:
     def test_first_record_arrives_after_one_task(self, monkeypatch):

@@ -255,11 +255,14 @@ class TestDifferenceRepresentations:
         assert [w.a for w in report.witnesses] == [(0,)]
 
     def test_target_without_zero_takes_no_search(self):
-        # A - A always holds 0, so such a target has no witness and no clique search
-        report = find_difference_representations(ElementSet.from_elements(11, [1, 10]))
-        assert report.witnesses == ()
-        assert report.nodes == 0
-        assert report.exhaustive
+        # A - A always holds 0, so such a target has no witness and no clique
+        # search; on discrete logs, a ratio target without 1 is one without 0
+        for search, elements in [(find_difference_representations, [1, 10]),
+                                 (find_ratio_representations, [2, 6])]:
+            report = search(ElementSet.from_elements(11, elements))
+            assert report.witnesses == ()
+            assert report.nodes == 0
+            assert report.exhaustive
 
     def test_no_witnesses_for_order_three_target(self, f13):
         g = subgroup_of_order(f13, 3)

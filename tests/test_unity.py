@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cmath
+import math
 import os
 import subprocess
 import sys
@@ -97,7 +99,6 @@ class TestProductClaim:
         assert verdict.passed
         # every product is more than DEFAULT_TOL away from every other
         assert verdict.numeric_violations == ()
-        assert verdict.oracle_violations == ()
         assert verdict.max_quadruple_class <= 4
 
     @pytest.mark.parametrize("m, x_values", [
@@ -124,6 +125,26 @@ class TestProductClaim:
         assert set(reported) == expected
         assert len(expected) > len(pairs)
         assert not verdict.passed
+        # a pair weighs 2 ordered pairs (1 when k = l); its mass adds the
+        # weights of the pairs close to it
+        weight = {(k, l): 1 if k == l else 2 for k, l in pairs}
+        mass = dict(weight)
+        for a, b in map(tuple, expected):
+            mass[a] += weight[b]
+            mass[b] += weight[a]
+        assert verdict.max_quadruple_class == max(mass.values()) ** 2
+        assert verdict.max_quadruple_class == {4: 81, 6: 625}[m]
+
+    def test_products_match_the_lemma(self):
+        # x_k x_l = -4 sin(pi k/m) sin(pi l/m) e^{i pi (k+l)/m}: the argument
+        # fixes k + l and then the modulus fixes |k - l|
+        for m in range(3, 101):
+            xs = UnityGroup.of_order(m).x_values
+            for k in range(1, m):
+                for l in range(k, m):
+                    lemma = (-4 * math.sin(math.pi * k / m) * math.sin(math.pi * l / m)
+                             * cmath.exp(1j * math.pi * (k + l) / m))
+                    assert abs(xs[k - 1] * xs[l - 1] - lemma) < 1e-12
 
 
 class TestCirclePreservingMaps:

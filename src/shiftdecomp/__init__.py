@@ -1,7 +1,7 @@
 """Exact verification toolkit for multiplicative-subgroup decomposition claims.
 
 Everything runs over a prime field F_p with exact arithmetic (or, for the
-roots-of-unity component, over C with an exact combinatorial cross-check):
+roots-of-unity component, over C with floats compared within a tolerance):
 auxiliary-polynomial bounds, exhaustive product/sum/ratio/difference
 decomposition searches, symmetric-function identities, and Mobius-map
 classification on the unit circle.

@@ -53,8 +53,6 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _smallest_primitive_root(p: int) -> int:
-    if p == 3:
-        return 2
     exponents = [(p - 1) // q for q in _prime_factors(p - 1)]
     for g in range(2, p):
         if all(pow(g, e, p) != 1 for e in exponents):

@@ -12,9 +12,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .field import MultSubgroup, make_field, proper_orders, subgroup_of_order
+from .audits import build_target
+from .field import make_field, proper_orders, subgroup_of_order
 from .poly import DensePoly, root_multiplicity
-from .sets import ElementSet, mask_elements
+from .sets import ElementSet
 from .stepanov import (
     audit_instance,
     check_derivative_ratio,
@@ -63,18 +64,6 @@ DERIVATIVE_CASES = 200
 HARMONIC_CASES = 200
 
 
-def _hypothesis_pool(subgroup: MultSubgroup, lam: int) -> list[int]:
-    """All products t != 0 with t + lam in G union {0}, ascending.
-
-    Bit s of the mask of G union {0} moves to bit s - lam mod p.
-    """
-    p = subgroup.ctx.p
-    lam %= p
-    target = subgroup.elements.mask | 1
-    rotated = (target >> lam | target << (p - lam)) & ((1 << p) - 2)
-    return list(mask_elements(rotated))
-
-
 @dataclass(frozen=True)
 class StepanovSuiteResult:
     lam_in_g_instances: int
@@ -118,7 +107,9 @@ def _sample_instance(rng: random.Random, mode: str):
             if not non_g:
                 continue
             lam = rng.choice(non_g)
-        pool = _hypothesis_pool(subgroup, lam)
+        # the products t != 0 with t + lam in G union {0}: (G - lam) \ {0}
+        # plus -lam, the image of 0, which is nonzero since lam is
+        pool = build_target(subgroup, 1, -lam, with_zero=True).elements()
         if not pool:
             continue
 

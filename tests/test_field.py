@@ -64,9 +64,11 @@ class TestMakeField:
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_primitive_root_generates(self, p):
+        # and it is the smallest generator: at p = 3, the only one, 2
         ctx = make_field(p)
         g = ctx.primitive_root
         assert {pow(g, k, p) for k in range(p - 1)} == set(range(1, p))
+        assert all(len({pow(h, k, p) for k in range(p - 1)}) < p - 1 for h in range(2, g))
 
 
 class TestSubgroups:

@@ -176,7 +176,8 @@ class TestAuditInstance:
         # shifted_equality is only returned once the tight factorization holds
         assert audit.shifted_equality
         assert audit.zero_multiplicity == 1
-        # with lam in G, a nonzero f has passed the strict size bound
+        # with lam in G, a nonzero f has passed the strict size bound, which is
+        # the shifted degree bound (2+1)*1 - 0 <= deg f <= cap = 3
         assert audit.nonzero
 
     def test_flagship_instance(self, f11):
@@ -192,7 +193,8 @@ class TestAuditInstance:
         assert audit.r == 0
         assert audit.multiplicities == ((1, 2), (2, 2), (3, 2))
         assert audit.general_equality
-        # the size bound 2 * 3 <= 5 + 0 + 2 - 1 holds with equality
+        # the size bound 2 * 3 <= 5 + 0 + 2 - 1 holds with equality: it is the
+        # degree window's low = 2 * 3 - 0 <= cap = 2 - 1 + 5
         assert audit.nonzero
 
     def test_rejects_escaping_product(self, f11):
@@ -289,6 +291,55 @@ class TestVanishingPolynomial:
         assert r.flagship_degree == -1
         assert not r.flagship_tight
         assert not r.passed
+
+
+# (A, B, lam, |G|) over F_11 and F_7: the flagship is general-tight with lam
+# outside G, the other shifted-tight with lam in G
+FLAGSHIP = (11, [1, 7], [1, 2, 3], 2, 5)
+SHIFTED = (7, [1], [2, 6], 2, 3)
+ROOT_MULTIPLICITY = stepanov.root_multiplicity
+
+
+def _multiplicity_at_zero_is_0(f, b):
+    return 0 if b == 0 else ROOT_MULTIPLICITY(f, b)
+
+
+class TestPlantedFaults:
+    """Each BoundViolationError raise of audit_instance, fired by one planted fault.
+
+    A fault replaces the multiplicities, the auxiliary polynomial, or both;
+    every other check must still pass, so the message names the one that fires.
+    """
+
+    @pytest.mark.parametrize("instance, multiplicity, perturb, message", [
+        (FLAGSHIP, lambda f, b: 0, None, r"root 1 has multiplicity 0 < 2"),
+        (FLAGSHIP, None, lambda f: f * DensePoly.monomial(11, 1),
+         r"degree 7 escapes window \[6, 6\]"),
+        (FLAGSHIP, lambda f, b: 99, lambda f: DensePoly.constant(11, 1),
+         r"degree 0 escapes window \[6, 6\]"),
+        (SHIFTED, _multiplicity_at_zero_is_0, None, r"zero root multiplicity 0 < 1"),
+        (SHIFTED, lambda f, b: 99, lambda f: DensePoly(7, (1, 0, 1)),
+         r"shifted degree bound fails: \(2\+1\)\*1-0 > 2"),
+        (FLAGSHIP, lambda f, b: 99, lambda f: f + DensePoly.constant(11, 1),
+         r"^tight factorization mismatch"),
+        (SHIFTED, lambda f, b: 99, lambda f: f + DensePoly.constant(7, 1),
+         r"^tight shifted factorization mismatch"),
+    ], ids=["multiplicity", "window-high", "window-low", "zero-multiplicity",
+            "shifted-degree", "tight-factorization", "shifted-factorization"])
+    def test_fault_fires_its_check(self, monkeypatch, instance, multiplicity, perturb,
+                                   message):
+        p, a, b, lam, g_order = instance
+        args = (ElementSet.from_elements(p, a), ElementSet.from_elements(p, b), lam,
+                subgroup_of_order(make_field(p), g_order))
+        audit_instance(*args)  # the unplanted instance passes
+        if multiplicity is not None:
+            monkeypatch.setattr(stepanov, "root_multiplicity", multiplicity)
+        if perturb is not None:
+            build = stepanov.build_auxiliary_polynomial
+            monkeypatch.setattr(stepanov, "build_auxiliary_polynomial",
+                                lambda *xs: perturb(build(*xs)))
+        with pytest.raises(BoundViolationError, match=message):
+            audit_instance(*args)
 
 
 class TestAdditiveBound:

@@ -8,6 +8,7 @@ import hashlib
 import pytest
 
 from shiftdecomp import (
+    build_target,
     enumerate_proper_subgroups,
     is_prime,
     make_field,
@@ -76,7 +77,8 @@ class TestStepanovSuite:
             target = {x for x in range(p) if pow(x, subgroup.order + 1, p) == x}
             for lam in range(1, p):
                 expected = [t for t in range(1, p) if (t + lam) % p in target]
-                assert suites._hypothesis_pool(subgroup, lam) == expected
+                pool = build_target(subgroup, 1, -lam, with_zero=True).elements()
+                assert list(pool) == expected
 
 
 class TestIdentitySuite:
